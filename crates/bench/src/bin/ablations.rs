@@ -3,7 +3,7 @@
 //!
 //! Run with `cargo run --release -p rtlfixer-bench --bin ablations`.
 
-use rtlfixer_bench::{fmt3, record_run, render_table, RunScale};
+use rtlfixer_bench::{fmt3, folded_stats, record_run, render_table, RunScale};
 use rtlfixer_eval::experiments::ablations;
 use rtlfixer_eval::experiments::table1::FixRateConfig;
 
@@ -14,8 +14,7 @@ fn main() {
     } else {
         FixRateConfig { repeats: 5, jobs: scale.jobs, ..Default::default() }
     };
-    let mut episodes = 0usize;
-    let mut seconds = 0.0f64;
+    let mut point_stats = Vec::new();
     for (title, points) in [
         ("Retriever (ReAct + Quartus + RAG)", ablations::retriever_ablation(&config)),
         ("Retriever duel on tagless iverilog (ReAct + RAG)", ablations::iverilog_retriever_duel(&config)),
@@ -27,8 +26,7 @@ fn main() {
         let rows: Vec<Vec<String>> = points
             .iter()
             .map(|p| {
-                episodes += p.stats.episodes;
-                seconds += p.stats.seconds;
+                point_stats.push(p.stats);
                 vec![
                     p.variant.clone(),
                     fmt3(p.fix_rate),
@@ -39,12 +37,5 @@ fn main() {
             .collect();
         println!("{}", render_table(&["variant", "fix rate", "secs", "eps/s"], &rows));
     }
-    let stats = rtlfixer_eval::RunStats {
-        episodes,
-        seconds,
-        episodes_per_sec: if seconds > 0.0 { episodes as f64 / seconds } else { 0.0 },
-        failed_episodes: 0,
-        scheduler: None,
-    };
-    record_run("ablations", scale.jobs, &stats);
+    record_run("ablations", scale.jobs, &folded_stats(&point_stats));
 }

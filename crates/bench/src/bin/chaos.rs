@@ -9,7 +9,7 @@
 //! probe episode exercises the pool's failure containment; it is reported
 //! in the `failed` column of the first row.
 
-use rtlfixer_bench::{fmt3, record_run, render_table, RunScale};
+use rtlfixer_bench::{fmt3, folded_stats, record_run, render_table, RunScale};
 use rtlfixer_eval::experiments::chaos::{chaos, ChaosConfig};
 use rtlfixer_eval::experiments::table1::FixRateConfig;
 
@@ -55,16 +55,6 @@ fn main() {
             &rows
         )
     );
-    let episodes: usize = cells.iter().map(|c| c.stats.episodes).sum();
-    let seconds: f64 = cells.iter().map(|c| c.stats.seconds).sum();
-    let failed: usize = cells.iter().map(|c| c.failed_episodes).sum();
-    let stats = rtlfixer_eval::RunStats {
-        episodes,
-        seconds,
-        episodes_per_sec: if seconds > 0.0 { episodes as f64 / seconds } else { 0.0 },
-        failed_episodes: failed,
-        scheduler: None,
-    };
-    record_run("chaos", scale.jobs, &stats);
+    record_run("chaos", scale.jobs, &folded_stats(cells.iter().map(|c| &c.stats)));
     println!("{}", serde_json::to_string_pretty(&cells).expect("serialises"));
 }

@@ -3,7 +3,7 @@
 //!
 //! Run with `cargo run --release -p rtlfixer-bench --bin figure4`.
 
-use rtlfixer_bench::{fmt3, record_run, render_table, RunScale};
+use rtlfixer_bench::{fmt3, folded_stats, record_run, render_table, RunScale};
 use rtlfixer_eval::experiments::table2::{evaluate_suite, PassAtKConfig};
 
 fn main() {
@@ -15,15 +15,13 @@ fn main() {
     };
     eprintln!("Figure 4: outcome shares before/after fixing");
     let mut rows = Vec::new();
-    let mut episodes = 0usize;
-    let mut seconds = 0.0f64;
+    let mut suite_stats = Vec::new();
     for (label, problems) in [
         ("Human", rtlfixer_dataset::verilog_eval_human()),
         ("Machine", rtlfixer_dataset::verilog_eval_machine()),
     ] {
         let evaluation = evaluate_suite(label, &problems, &config);
-        episodes += evaluation.stats.episodes;
-        seconds += evaluation.stats.seconds;
+        suite_stats.push(evaluation.stats);
         for (ring, shares) in [
             ("prior (inner)", evaluation.shares_original),
             ("post (outer)", evaluation.shares_fixed),
@@ -42,12 +40,5 @@ fn main() {
         render_table(&["Suite", "Ring", "pass", "syntax error", "sim error"], &rows)
     );
     println!("Paper (Human): pass rises 0.267 -> 0.368 purely from syntax fixing.");
-    let stats = rtlfixer_eval::RunStats {
-        episodes,
-        seconds,
-        episodes_per_sec: if seconds > 0.0 { episodes as f64 / seconds } else { 0.0 },
-        failed_episodes: 0,
-        scheduler: None,
-    };
-    record_run("figure4", scale.jobs, &stats);
+    record_run("figure4", scale.jobs, &folded_stats(&suite_stats));
 }

@@ -436,14 +436,7 @@ fn main() {
         chaos.disconnected
     );
 
-    let seconds = sweep_start.elapsed().as_secs_f64();
-    let stats = rtlfixer_eval::RunStats {
-        episodes: total_completed,
-        seconds,
-        episodes_per_sec: if seconds > 0.0 { total_completed as f64 / seconds } else { 0.0 },
-        failed_episodes: 0,
-        scheduler: None,
-    };
+    let stats = rtlfixer_eval::RunStats::new(total_completed, sweep_start.elapsed());
     record_run_with(
         "servebench",
         scale.jobs,

@@ -10,7 +10,7 @@
 //! fields are the only legitimate difference).
 
 use rtlfixer_bench::shards::{as_bool, as_usize, read_fragments, stats_from_json, write_fragment};
-use rtlfixer_bench::{die, fmt3, record_run, render_table, RunScale};
+use rtlfixer_bench::{die, fmt3, folded_stats, record_run, render_table, RunScale};
 use rtlfixer_eval::experiments::table1::{
     merge_table1_verdicts, table1_merged, table1_verdicts, CellVerdicts, FixRateConfig,
     Table1Merge,
@@ -82,14 +82,6 @@ fn fragment_from_json(
         .collect()
 }
 
-fn folded_stats(cells: &[CellVerdicts]) -> rtlfixer_eval::RunStats {
-    let mut stats = rtlfixer_eval::RunStats::new(0, std::time::Duration::ZERO);
-    for cell in cells {
-        stats.accumulate(&cell.stats);
-    }
-    stats
-}
-
 /// Renders and records a complete (unsharded or merged) Table 1 run.
 fn finish(scale: &RunScale, merged: &Table1Merge) {
     let rows: Vec<Vec<String>> = merged
@@ -120,10 +112,7 @@ fn finish(scale: &RunScale, merged: &Table1Merge) {
         )
     );
     println!("verdict_fingerprint: {:032x}", merged.verdict_fingerprint);
-    let mut stats = rtlfixer_eval::RunStats::new(0, std::time::Duration::ZERO);
-    for cell in &merged.cells {
-        stats.accumulate(&cell.stats);
-    }
+    let stats = folded_stats(merged.cells.iter().map(|cell| &cell.stats));
     record_run("table1", scale.jobs, &stats);
     println!("{}", serde_json::to_string_pretty(&merged.cells).expect("serialises"));
 }
@@ -151,7 +140,7 @@ fn main() {
             config.repeats
         );
         let verdicts = table1_verdicts(&config, shard);
-        let stats = folded_stats(&verdicts);
+        let stats = folded_stats(verdicts.iter().map(|cell| &cell.stats));
         let path = write_fragment("table1", shard, fragment_json(scale.quick, &verdicts));
         record_run(&format!("table1.shard{}of{}", shard.index, shard.count), scale.jobs, &stats);
         println!(

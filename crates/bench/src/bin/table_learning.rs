@@ -8,7 +8,7 @@
 //! `cargo run --release -p rtlfixer-bench --bin table_learning`
 //! (add `--quick` for a scaled-down smoke run).
 
-use rtlfixer_bench::{fmt3, record_run_with, render_table, RunScale};
+use rtlfixer_bench::{fmt3, folded_stats, record_run_with, render_table, RunScale};
 use rtlfixer_eval::experiments::table_learning::{run_learning, LearningConfig};
 
 fn main() {
@@ -45,19 +45,10 @@ fn main() {
         );
     }
 
-    let episodes: usize = points.iter().map(|p| p.stats.episodes).sum();
-    let seconds: f64 = points.iter().map(|p| p.stats.seconds).sum();
-    let stats = rtlfixer_eval::RunStats {
-        episodes,
-        seconds,
-        episodes_per_sec: if seconds > 0.0 { episodes as f64 / seconds } else { 0.0 },
-        failed_episodes: 0,
-        scheduler: None,
-    };
     record_run_with(
         "table_learning",
         scale.jobs,
-        &stats,
+        &folded_stats(points.iter().map(|p| &p.stats)),
         &[("curve", serde_json::Value::from_serialize(&points))],
     );
 }

@@ -148,6 +148,20 @@ impl RunScale {
     }
 }
 
+/// Folds per-cell stats into one run's stats through
+/// [`RunStats::accumulate`](rtlfixer_eval::RunStats::accumulate): episodes,
+/// failures and seconds add, throughput counts successful episodes only,
+/// and scheduler metadata merges episode-weighted.
+pub fn folded_stats<'a>(
+    cells: impl IntoIterator<Item = &'a rtlfixer_eval::RunStats>,
+) -> rtlfixer_eval::RunStats {
+    let mut stats = rtlfixer_eval::RunStats::new(0, std::time::Duration::ZERO);
+    for cell in cells {
+        stats.accumulate(cell);
+    }
+    stats
+}
+
 /// Exits with status 1 after printing a merge/fragment error — the shared
 /// failure path of the binaries' `merge-shards` mode.
 pub fn die(message: String) -> ! {
@@ -295,6 +309,31 @@ mod tests {
         assert_eq!(lines.len(), 4);
         assert_eq!(lines[0].len(), lines[2].len());
         assert_eq!(lines[2].len(), lines[3].len());
+    }
+
+    #[test]
+    fn folded_stats_keep_failures_and_count_only_successful_throughput() {
+        use rtlfixer_eval::{RunStats, SchedulerStats};
+        use std::time::Duration;
+        let scheduler = SchedulerStats {
+            policy: "grid",
+            batches: 10,
+            coalesced: 0,
+            rank_correlation: 0.0,
+            barrier_idle_us: 5,
+        };
+        let failing = RunStats::new(10, Duration::from_secs(1))
+            .with_failed(4)
+            .with_scheduler(scheduler);
+        let clean = RunStats::new(10, Duration::from_secs(1)).with_scheduler(scheduler);
+        let total = folded_stats([&failing, &clean]);
+        assert_eq!(total.episodes, 20);
+        assert_eq!(total.failed_episodes, 4);
+        assert!((total.seconds - 2.0).abs() < 1e-12, "{total:?}");
+        assert!((total.episodes_per_sec - 8.0).abs() < 1e-12, "{total:?}");
+        let merged = total.scheduler.expect("scheduler block survives the fold");
+        assert_eq!((merged.batches, merged.barrier_idle_us), (20, 10));
+        assert_eq!(folded_stats([]).episodes, 0);
     }
 
     #[test]

@@ -115,9 +115,8 @@ pub fn fix_rate_from_successes(successes: &[bool], repeats: usize) -> f64 {
 
 /// Runs one Table 1 cell's shard, returning raw verdicts by grid position.
 ///
-/// Episodes execute on the planned pool ([`run_episodes_planned`]): the
-/// active `RTLFIXER_SCHED` policy picks the claim order (LPT + fingerprint
-/// batching by default), but per-episode seeds come from the canonical
+/// Episodes execute on the planned pool ([`run_episodes_planned`]) in LPT +
+/// fingerprint-batching claim order, but per-episode seeds come from the canonical
 /// [`episode_seed`](crate::runner::episode_seed) grid and results land by
 /// position — bit-identical for every `config.jobs` value, policy and
 /// shard split.

@@ -5,7 +5,7 @@
 //! * [`metrics`] — the paper's Eq. 1 (fix rate) and Eq. 2 (unbiased
 //!   pass@k).
 //! * [`runner`] — the deterministic parallel episode-execution engine all
-//!   experiments run on: a work-stealing thread pool plus the canonical
+//!   experiments run on: one self-scheduling executor plus the canonical
 //!   per-episode seed derivation, guaranteeing results are bit-identical
 //!   for any `--jobs` value.
 //! * [`schedule`] — the planning layer over the runner: a telemetry-seeded
@@ -43,8 +43,8 @@ pub use episode::{run_repair, RepairJob};
 pub use metrics::{fix_rate, mean_pass_at_k, pass_at_k};
 pub use runner::{
     cache_report, episode_seed, panic_message, resolve_jobs, run_episodes, run_episodes_checked,
-    run_episodes_planned, run_indexed_checked, run_planned_checked, CacheReport, EpisodeFailure,
-    EpisodeSpec, PlannedMetrics, RunStats,
+    run_episodes_planned, run_planned_checked, CacheReport, EpisodeFailure, EpisodeSpec,
+    PlannedMetrics, RunStats,
 };
 pub use schedule::{
     scheduler_report, CostModel, EpisodeFeatures, Plan, Policy, SchedulerStats, Shard,

@@ -9,15 +9,15 @@
 //!
 //! * [`episode_seed`] — the single canonical seed derivation every
 //!   experiment uses (one namespace, documented below).
-//! * [`run_indexed`] — a self-scheduling (work-stealing) thread pool over
-//!   an index range, reassembling results in index order so parallel runs
-//!   are byte-identical to `jobs = 1`.
-//! * [`run_indexed_checked`] / [`run_episodes_checked`] — the same pool
-//!   with per-index panic containment: a panicking episode becomes a
-//!   structured [`EpisodeFailure`] instead of tearing down the run.
-//! * [`episode_grid`] / [`run_episodes`] — the flattened
-//!   entries × repeats grid most experiments execute, with wall-clock
-//!   [`RunStats`].
+//! * [`run_planned_checked`] — the one episode executor: a self-scheduling
+//!   thread pool that claims whole batches of a
+//!   [`Plan`](crate::schedule::Plan), contains per-episode panics as
+//!   structured [`EpisodeFailure`]s, and reassembles results in index
+//!   order so parallel runs are byte-identical to `jobs = 1`.
+//! * [`episode_grid`] / [`run_episodes`] / [`run_episodes_checked`] — the
+//!   flattened entries × repeats grid most experiments execute, run in
+//!   grid order with wall-clock [`RunStats`];
+//!   [`run_episodes_planned`] runs it in the cost model's order.
 //!
 //! # Seed namespace
 //!
@@ -45,7 +45,7 @@
 use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Mutex};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// Derives the deterministic seed for one episode.
@@ -72,35 +72,7 @@ pub fn resolve_jobs(requested: usize) -> usize {
     }
 }
 
-/// Runs `task(0..len)` across `jobs` worker threads and returns the results
-/// in index order.
-///
-/// Scheduling is self-balancing: workers claim the next index from a shared
-/// atomic cursor, so a slow episode never stalls the queue behind it
-/// (work-stealing in the limit of a single shared deque). Because `task` is
-/// a pure function of its index, the reassembled output is identical for
-/// every `jobs` value, including the serial `jobs <= 1` fast path.
-pub fn run_indexed<R, F>(jobs: usize, len: usize, task: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(usize) -> R + Sync,
-{
-    let (results, failures) = run_indexed_checked(jobs, len, task);
-    if let Some(first) = failures.first() {
-        panic!(
-            "{} of {len} episodes panicked; first at index {}: {}",
-            failures.len(),
-            first.index,
-            first.message
-        );
-    }
-    results
-        .into_iter()
-        .map(|v| v.expect("no failures, so every index produced a value"))
-        .collect()
-}
-
-/// One contained episode panic from [`run_indexed_checked`].
+/// One contained episode panic from [`run_planned_checked`].
 #[derive(Debug, Clone)]
 pub struct EpisodeFailure {
     /// Index of the panicking task.
@@ -137,94 +109,6 @@ pub fn panic_message(payload: Box<dyn Any + Send>) -> String {
     format!("non-string panic payload ({:?})", (*payload).type_id())
 }
 
-/// Like [`run_indexed`], but a panicking task yields a structured
-/// [`EpisodeFailure`] (and a `None` result slot) instead of aborting the
-/// pool — one poisoned episode cannot sink a whole grid.
-///
-/// Failures are returned in index order. Determinism is preserved: panics
-/// are as much a pure function of the index as results are.
-pub fn run_indexed_checked<R, F>(
-    jobs: usize,
-    len: usize,
-    task: F,
-) -> (Vec<Option<R>>, Vec<EpisodeFailure>)
-where
-    R: Send,
-    F: Fn(usize) -> R + Sync,
-{
-    let jobs = resolve_jobs(jobs).min(len.max(1));
-    // Each task runs inside an observability episode capture: whatever the
-    // episode records (spans, counters, trace events) lands in a
-    // worker-local buffer instead of the shared registry. Captures are
-    // merged below *after* the pool completes, in index order, so the
-    // registry contents and trace-line order are identical at every worker
-    // count. With observability off the capture calls are no-op relaxed
-    // loads. A contained panic still clears the thread's capture (partial
-    // telemetry of a failed episode is kept — failures should be visible).
-    let run_one = |index: usize| {
-        rtlfixer_obs::episode_begin();
-        let result = catch_unwind(AssertUnwindSafe(|| task(index)));
-        let telemetry = rtlfixer_obs::episode_end();
-        (result, telemetry)
-    };
-    type Slot<R> = (Result<R, String>, Option<rtlfixer_obs::EpisodeTelemetry>);
-
-    let mut slots: Vec<Option<Slot<R>>> = Vec::with_capacity(len);
-    if jobs <= 1 {
-        for index in 0..len {
-            let (result, telemetry) = run_one(index);
-            slots.push(Some((result.map_err(panic_message), telemetry)));
-        }
-    } else {
-        slots.resize_with(len, || None);
-        let cursor = AtomicUsize::new(0);
-        let (sender, receiver) = mpsc::channel::<(usize, Slot<R>)>();
-        std::thread::scope(|scope| {
-            for _ in 0..jobs {
-                let sender = sender.clone();
-                let cursor = &cursor;
-                let run_one = &run_one;
-                scope.spawn(move || loop {
-                    let index = cursor.fetch_add(1, Ordering::Relaxed);
-                    if index >= len {
-                        break;
-                    }
-                    let (result, telemetry) = run_one(index);
-                    if sender.send((index, (result.map_err(panic_message), telemetry))).is_err() {
-                        break;
-                    }
-                });
-            }
-            drop(sender);
-            // Reassemble on the spawning thread while workers are still
-            // producing; order restores determinism regardless of
-            // completion order.
-            for (index, value) in receiver {
-                slots[index] = Some(value);
-            }
-        });
-    }
-
-    let mut results = Vec::with_capacity(len);
-    let mut failures = Vec::new();
-    for (index, slot) in slots.into_iter().enumerate() {
-        let (result, telemetry) = slot.expect("worker completed every index");
-        // The pool barrier: worker-local telemetry merges into the global
-        // registry in index order, independent of which worker ran what.
-        if let Some(telemetry) = &telemetry {
-            rtlfixer_obs::merge(telemetry);
-        }
-        match result {
-            Ok(value) => results.push(Some(value)),
-            Err(message) => {
-                results.push(None);
-                failures.push(EpisodeFailure { index, message });
-            }
-        }
-    }
-    (results, failures)
-}
-
 /// Per-episode actuals and barrier accounting from one planned run
 /// ([`run_planned_checked`]).
 #[derive(Debug, Clone)]
@@ -242,18 +126,19 @@ pub struct PlannedMetrics {
 /// Executes a [`Plan`](crate::schedule::Plan): workers claim whole batches
 /// from a shared cursor and run members back-to-back (so a batch leader's
 /// compile/elaborate warms the artifact caches for its followers), then
-/// flush results through one lock per worker instead of one channel send
-/// per episode. Measured on the 1-core container, the legacy engine's
-/// cost is oversubscription (time-sliced workers plus a receiving main
-/// thread) more than the per-episode mpsc sends themselves; the caller
-/// ([`run_episodes_planned`]) clamps `jobs` to the hardware for that
-/// reason, while this function honours the count it is given so tests
-/// can exercise specific worker configurations.
+/// flush results through one lock per worker. The `run_episodes*` runners clamp
+/// `jobs` to the hardware (oversubscribed, time-sliced workers only add
+/// overhead); this function honours the count it is given so tests can
+/// exercise specific worker configurations.
 ///
-/// Determinism is unchanged from [`run_indexed_checked`]: results land in
-/// slots by original index, and worker-local telemetry merges into the
-/// registry at the barrier in index order, so outputs are bit-identical
-/// for every `jobs` value and every plan over the same positions.
+/// A panicking task yields a structured [`EpisodeFailure`] (and a `None`
+/// result slot) instead of aborting the pool — one poisoned episode cannot
+/// sink a whole grid. Each task runs inside an observability episode
+/// capture, so whatever it records lands in a worker-local buffer. Results
+/// land in slots by original index, and the captures merge into the
+/// registry at the barrier in index order, so outputs and telemetry are
+/// bit-identical for every `jobs` value and every plan over the same
+/// positions. Failures are returned in index order.
 pub fn run_planned_checked<R, F>(
     jobs: usize,
     plan: &crate::schedule::Plan,
@@ -456,8 +341,8 @@ pub struct RunStats {
     pub failed_episodes: usize,
     /// Scheduler metadata of the run (policy, batches formed,
     /// predicted-vs-actual rank correlation, barrier idle) — `None`
-    /// (serialised as `null`) for runs that never went through the
-    /// planner.
+    /// (serialised as `null`) for stats not produced by the episode
+    /// runner.
     pub scheduler: Option<crate::schedule::SchedulerStats>,
 }
 
@@ -511,18 +396,31 @@ impl RunStats {
     }
 }
 
-/// Runs every episode of a grid through the pool, timed.
+/// Runs every episode of a grid in grid order, timed.
 ///
 /// Returns per-episode results in grid order (entry-major, repeat-minor)
-/// plus wall-clock stats.
+/// plus wall-clock stats. A panicking episode aborts the run once the rest
+/// of the grid has finished; [`run_episodes_checked`] contains it instead.
 pub fn run_episodes<R, F>(jobs: usize, specs: &[EpisodeSpec], episode: F) -> (Vec<R>, RunStats)
 where
     R: Send,
     F: Fn(&EpisodeSpec) -> R + Sync,
 {
-    let start = Instant::now();
-    let results = run_indexed(jobs, specs.len(), |i| episode(&specs[i]));
-    (results, RunStats::new(specs.len(), start.elapsed()))
+    let (results, failures, stats) = run_episodes_checked(jobs, specs, episode);
+    if let Some(first) = failures.first() {
+        panic!(
+            "{} of {} episodes panicked; first at index {}: {}",
+            failures.len(),
+            specs.len(),
+            first.index,
+            first.message
+        );
+    }
+    let results = results
+        .into_iter()
+        .map(|v| v.expect("no failures, so every index produced a value"))
+        .collect();
+    (results, stats)
 }
 
 /// [`run_episodes`] with panic containment: a panicking episode yields a
@@ -537,20 +435,13 @@ where
     R: Send,
     F: Fn(&EpisodeSpec) -> R + Sync,
 {
-    let start = Instant::now();
-    let (results, failures) = run_indexed_checked(jobs, specs.len(), |i| episode(&specs[i]));
-    let stats = RunStats::new(specs.len(), start.elapsed()).with_failed(failures.len());
-    (results, failures, stats)
+    run_plan(jobs, &crate::schedule::Plan::grid(specs.len()), specs, episode)
 }
 
-/// [`run_episodes_checked`] routed through the scheduling subsystem
-/// ([`crate::schedule`]): the active policy picks the engine
-/// (`RTLFIXER_SCHED=0` short-circuits to the legacy mpsc pool), the plan
-/// orders the claim queue (LPT + fingerprint batching by default), and the
-/// returned [`RunStats`] carries the run's
-/// [`SchedulerStats`](crate::schedule::SchedulerStats) for
-/// `results/bench_eval.json`. Results and failures are by original grid
-/// position under every policy — scheduling is invisible in the outputs.
+/// [`run_episodes_checked`] in the order the scheduling subsystem
+/// ([`crate::schedule`]) plans: LPT + fingerprint batching unless a test
+/// forces the grid plan. Results and failures are by original grid
+/// position under every plan — scheduling is invisible in the outputs.
 pub fn run_episodes_planned<R, F>(
     jobs: usize,
     specs: &[EpisodeSpec],
@@ -561,29 +452,37 @@ where
     R: Send,
     F: Fn(&EpisodeSpec) -> R + Sync,
 {
-    use crate::schedule::{self, Policy, SchedulerStats};
+    use crate::schedule::{self, CostModel, Plan};
     assert_eq!(specs.len(), features.len(), "one feature set per spec");
-    let policy = schedule::policy();
-    if policy == Policy::Legacy {
-        let (results, failures, stats) = run_episodes_checked(jobs, specs, episode);
-        let stats = stats.with_scheduler(SchedulerStats::legacy(specs.len()));
-        return (results, failures, stats);
-    }
-    let model = schedule::CostModel::from_telemetry();
-    let plan = schedule::Plan::for_policy(policy, features, &model);
+    let plan = Plan::for_policy(schedule::policy(), features, &CostModel::from_telemetry());
+    run_plan(jobs, &plan, specs, episode)
+}
+
+/// Runs `specs` in `plan` order, timed, and returns [`RunStats`] carrying
+/// the run's [`SchedulerStats`](crate::schedule::SchedulerStats) for
+/// `results/bench_eval.json`.
+fn run_plan<R, F>(
+    jobs: usize,
+    plan: &crate::schedule::Plan,
+    specs: &[EpisodeSpec],
+    episode: F,
+) -> (Vec<Option<R>>, Vec<EpisodeFailure>, RunStats)
+where
+    R: Send,
+    F: Fn(&EpisodeSpec) -> R + Sync,
+{
+    use crate::schedule::{spearman, SchedulerStats};
     // Episodes are CPU-bound, so workers beyond the machine's parallelism
-    // only add context-switch and cache-thrash overhead. The planner clamps
-    // the pool to the hardware (results are jobs-invariant by construction,
-    // so this is pure wall-time); the legacy engine keeps the requested
-    // count, preserving the pre-scheduler behaviour under the kill switch.
+    // only add context-switch and cache-thrash overhead. Results are
+    // jobs-invariant by construction, so the clamp is pure wall time.
     let hardware = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(usize::MAX);
     let jobs = resolve_jobs(jobs).min(hardware);
     let start = Instant::now();
-    let (results, failures, metrics) = run_planned_checked(jobs, &plan, |i| episode(&specs[i]));
+    let (results, failures, metrics) = run_planned_checked(jobs, plan, |i| episode(&specs[i]));
     let rank_correlation = if plan.predicted.is_empty() {
         0.0
     } else {
-        schedule::spearman(&plan.predicted, &metrics.actual_us)
+        spearman(&plan.predicted, &metrics.actual_us)
     };
     let stats = RunStats::new(specs.len(), start.elapsed())
         .with_failed(failures.len())
@@ -633,18 +532,10 @@ mod tests {
     }
 
     #[test]
-    fn parallel_matches_serial() {
-        let work = |i: usize| (i as u64).wrapping_mul(0x9E37_79B9).rotate_left(i as u32 % 64);
-        let serial = run_indexed(1, 500, work);
-        for jobs in [2, 3, 8] {
-            assert_eq!(run_indexed(jobs, 500, work), serial, "jobs = {jobs}");
-        }
-    }
-
-    #[test]
     fn empty_and_tiny_ranges() {
-        assert_eq!(run_indexed(8, 0, |i| i), Vec::<usize>::new());
-        assert_eq!(run_indexed(8, 1, |i| i * 2), vec![0]);
+        let empty = run_episodes(8, &episode_grid(1, 0, 0, 1), |s| s.entry).0;
+        assert_eq!(empty, Vec::<usize>::new());
+        assert_eq!(run_episodes(8, &episode_grid(1, 0, 1, 1), |s| s.entry * 2).0, vec![0]);
     }
 
     #[test]
@@ -667,6 +558,8 @@ mod tests {
         assert_eq!(results.len(), 8);
         assert_eq!(stats.episodes, 8);
         assert!(stats.seconds >= 0.0);
+        let scheduler = stats.scheduler.expect("grid runs carry scheduler stats");
+        assert_eq!((scheduler.policy, scheduler.batches, scheduler.coalesced), ("grid", 8, 0));
     }
 
     #[test]
@@ -687,9 +580,11 @@ mod tests {
 
     #[test]
     fn checked_pool_contains_panics() {
+        let specs = episode_grid(1, 0, 20, 1);
         for jobs in [1, 4] {
-            let (results, failures) = quietly(|| {
-                run_indexed_checked(jobs, 20, |i| {
+            let (results, failures, _) = quietly(|| {
+                run_episodes_checked(jobs, &specs, |s| {
+                    let i = s.entry;
                     if i == 7 || i == 13 {
                         panic!("episode {i} fell over");
                     }
@@ -711,8 +606,8 @@ mod tests {
         // Regression: `panic_any` with a typed payload (an errno, an exit
         // status, a structured error) used to collapse to the blind
         // "non-string panic payload" — server logs need the value.
-        let (results, failures) = quietly(|| {
-            run_indexed_checked(2, 4, |i| {
+        let (results, failures, _) = quietly(|| {
+            run_planned_checked(2, &crate::schedule::Plan::grid(4), |i| {
                 match i {
                     1 => std::panic::panic_any(42i32),
                     2 => std::panic::panic_any(Some("poisoned".to_owned())),
@@ -736,11 +631,11 @@ mod tests {
     fn unchecked_pool_reports_structured_panic() {
         let caught = quietly(|| {
             catch_unwind(AssertUnwindSafe(|| {
-                run_indexed(2, 10, |i| {
-                    if i == 3 {
-                        panic!("boom at {i}");
+                run_episodes(2, &episode_grid(1, 0, 10, 1), |s| {
+                    if s.entry == 3 {
+                        panic!("boom at {}", s.entry);
                     }
-                    i
+                    s.entry
                 })
             }))
         });
@@ -765,52 +660,11 @@ mod tests {
     }
 
     #[test]
-    fn pool_telemetry_merges_identically_at_any_jobs() {
-        // Worker-local episode telemetry merges at the pool barrier in
-        // index order, so the registry aggregate is a pure function of the
-        // episode set — independent of worker count and scheduling. Only
-        // `test.`-prefixed keys are compared: other tests in this binary
-        // may record telemetry concurrently while the flag is on.
-        rtlfixer_obs::set_telemetry(true);
-        let ours = |snap: &rtlfixer_obs::Snapshot| {
-            let counters: Vec<(String, u64)> = snap
-                .counters
-                .iter()
-                .filter(|(k, _)| k.starts_with("test."))
-                .map(|(k, v)| (k.clone(), *v))
-                .collect();
-            let hists: Vec<(String, rtlfixer_obs::Histogram)> = snap
-                .hists
-                .iter()
-                .filter(|(k, _)| k.starts_with("test."))
-                .map(|(k, v)| (k.clone(), v.clone()))
-                .collect();
-            (counters, hists)
-        };
-        let run = |jobs: usize| {
-            rtlfixer_obs::reset();
-            let _ = run_indexed(jobs, 40, |i| {
-                rtlfixer_obs::counter_add("test.episodes", 1);
-                rtlfixer_obs::counter_add(&format!("test.mod.{}", i % 3), 1);
-                rtlfixer_obs::observe("test.value", (i as u64) * 7 % 100);
-                i
-            });
-            ours(&rtlfixer_obs::snapshot())
-        };
-        let serial = run(1);
-        assert!(serial.0.iter().any(|(k, v)| k == "test.episodes" && *v == 40), "{serial:?}");
-        for jobs in [2, 4] {
-            assert_eq!(run(jobs), serial, "jobs = {jobs}");
-        }
-        rtlfixer_obs::set_telemetry(false);
-        rtlfixer_obs::reset();
-    }
-
-    #[test]
-    fn planned_executor_matches_legacy_pool_under_every_plan() {
+    fn planned_executor_matches_serial_grid_under_every_plan() {
         use crate::schedule::{CostModel, EpisodeFeatures, Plan};
         let work = |i: usize| (i as u64).wrapping_mul(0x9E37_79B9).rotate_left(i as u32 % 64);
-        let expected: Vec<Option<u64>> = (0..120).map(|i| Some(work(i))).collect();
+        let (expected, _, _) = run_planned_checked(1, &Plan::grid(120), work);
+        assert_eq!(expected, (0..120).map(|i| Some(work(i))).collect::<Vec<_>>());
         // Grid plan, LPT plan (with shared fingerprints so real batches
         // form), at several job counts: identical results in index order.
         let features: Vec<EpisodeFeatures> = (0..120)
@@ -821,7 +675,7 @@ mod tests {
             })
             .collect();
         for plan in [Plan::grid(120), Plan::lpt(&features, &CostModel::static_only())] {
-            for jobs in [1, 2, 4] {
+            for jobs in [1, 2, 3, 8] {
                 let (results, failures, metrics) = run_planned_checked(jobs, &plan, work);
                 assert_eq!(results, expected, "policy {:?} jobs {jobs}", plan.policy);
                 assert!(failures.is_empty());
@@ -863,10 +717,10 @@ mod tests {
     }
 
     #[test]
-    fn planned_telemetry_merges_identically_to_the_legacy_pool() {
+    fn planned_telemetry_merges_identically_to_the_serial_grid() {
         // The registry aggregate must be a pure function of the episode
-        // set under every engine and plan: per-episode telemetry merges at
-        // the barrier in index order regardless of claim order.
+        // set under every plan: per-episode telemetry merges at the
+        // barrier in index order regardless of claim order.
         use crate::schedule::{CostModel, EpisodeFeatures, Plan};
         rtlfixer_obs::set_telemetry(true);
         let work = |i: usize| {
@@ -890,8 +744,9 @@ mod tests {
             (counters, hists)
         };
         rtlfixer_obs::reset();
-        let _ = run_indexed(1, 30, work);
-        let legacy = ours(&rtlfixer_obs::snapshot());
+        let _ = run_planned_checked(1, &Plan::grid(30), work);
+        let serial = ours(&rtlfixer_obs::snapshot());
+        assert!(serial.0.iter().any(|(k, v)| k == "test.sched.episodes" && *v == 30), "{serial:?}");
         let features: Vec<EpisodeFeatures> = (0..30)
             .map(|i| EpisodeFeatures {
                 fingerprint: u128::from(i as u64 % 5),
@@ -899,11 +754,13 @@ mod tests {
                 category: Some("width_mismatch"),
             })
             .collect();
-        let plan = Plan::lpt(&features, &CostModel::static_only());
-        for jobs in [1, 4] {
-            rtlfixer_obs::reset();
-            let _ = run_planned_checked(jobs, &plan, work);
-            assert_eq!(ours(&rtlfixer_obs::snapshot()), legacy, "jobs = {jobs}");
+        for plan in [Plan::grid(30), Plan::lpt(&features, &CostModel::static_only())] {
+            for jobs in [1, 2, 4] {
+                rtlfixer_obs::reset();
+                let _ = run_planned_checked(jobs, &plan, work);
+                let got = ours(&rtlfixer_obs::snapshot());
+                assert_eq!(got, serial, "policy {:?} jobs {jobs}", plan.policy);
+            }
         }
         rtlfixer_obs::set_telemetry(false);
         rtlfixer_obs::reset();

@@ -1,12 +1,11 @@
 //! Telemetry-driven episode scheduling: cost-model ordering, fingerprint
 //! batching and deterministic multi-process sharding.
 //!
-//! The [`runner`](crate::runner) pool treats every episode as an opaque,
-//! equal-cost unit and drains specs in grid order. That leaves two kinds of
-//! waste on the table: long-tail episodes (multi-turn repairs) claimed last
-//! straggle at the pool barrier, and specs sharing a source redo
-//! compile/elaborate admission work whenever concurrent workers race the
-//! same cache miss. This module *plans* execution instead:
+//! Run in grid order, every episode is an opaque, equal-cost unit. That
+//! leaves two kinds of waste on the table: long-tail episodes (multi-turn
+//! repairs) claimed last straggle at the pool barrier, and specs sharing a
+//! source redo compile/elaborate admission work whenever concurrent
+//! workers race the same cache miss. This module *plans* execution instead:
 //!
 //! * A [`CostModel`] predicts per-episode cost from static features
 //!   (primary error category, source length) and — when the `--telemetry`
@@ -26,11 +25,8 @@
 //! None of this may change results: episodes are pure functions of their
 //! spec, results are written back by original index, and worker-local
 //! telemetry still merges at the barrier in index order — so the
-//! bit-identical-at-any-`--jobs` invariant holds under every policy, and
-//! the scheduling invariance suite pins it. The `RTLFIXER_SCHED` kill
-//! switch (`0`/`off`/`false`/`no`) restores the legacy grid-order engine;
-//! `RTLFIXER_SCHED=grid` runs the planned executor without reordering
-//! (isolating the ordering effect for A/B measurements).
+//! bit-identical-at-any-`--jobs` invariant holds under every plan, and
+//! the scheduling invariance suite pins it against the grid plan.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU8, Ordering};
@@ -39,13 +35,9 @@ use std::sync::Mutex;
 /// Scheduling policy for one planned run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Policy {
-    /// Legacy engine: grid-order index claiming on the mpsc pool
-    /// (`RTLFIXER_SCHED=0` — the kill switch, bit-identical to the
-    /// pre-scheduler behaviour by construction).
-    Legacy,
-    /// Planned executor with singleton batches in grid order — no
-    /// reordering, no coalescing. Isolates executor effects from ordering
-    /// effects in A/B runs (`RTLFIXER_SCHED=grid`).
+    /// Singleton batches in grid order — no reordering, no coalescing.
+    /// The reference plan of the invariance tests and the plan of the
+    /// grid-order runners.
     Grid,
     /// Fingerprint batching + longest-expected-first ordering (default).
     Lpt,
@@ -55,73 +47,33 @@ impl Policy {
     /// Stable lowercase name recorded in `results/bench_eval.json`.
     pub fn name(self) -> &'static str {
         match self {
-            Policy::Legacy => "legacy",
             Policy::Grid => "grid",
             Policy::Lpt => "lpt",
         }
     }
 }
 
-// 0 = uninitialised, 1 = Legacy, 2 = Grid, 3 = Lpt, +8 = forced override.
+// 0 = no override (LPT), 1 = forced Grid, 2 = forced Lpt.
 static POLICY: AtomicU8 = AtomicU8::new(0);
 
-fn policy_from_env() -> Policy {
-    match std::env::var("RTLFIXER_SCHED") {
-        Ok(value) => match value.to_ascii_lowercase().as_str() {
-            "0" | "off" | "false" | "no" => Policy::Legacy,
-            "grid" => Policy::Grid,
-            // Unrecognised spellings keep the default on, mirroring the
-            // other RTLFIXER_* switches: a typo must not silently change
-            // the engine.
-            _ => Policy::Lpt,
-        },
-        Err(_) => Policy::Lpt,
-    }
-}
-
-fn encode(policy: Policy) -> u8 {
-    match policy {
-        Policy::Legacy => 1,
-        Policy::Grid => 2,
-        Policy::Lpt => 3,
-    }
-}
-
-fn decode(bits: u8) -> Policy {
-    match bits & 0b111 {
-        1 => Policy::Legacy,
-        2 => Policy::Grid,
+/// The policy [`run_episodes_planned`](crate::runner::run_episodes_planned)
+/// plans with: LPT unless a test forced another via [`force_policy`].
+pub fn policy() -> Policy {
+    match POLICY.load(Ordering::Relaxed) {
+        1 => Policy::Grid,
         _ => Policy::Lpt,
     }
 }
 
-/// The active scheduling policy: a forced override if one is set, else
-/// `RTLFIXER_SCHED` (consulted once and cached).
-pub fn policy() -> Policy {
-    match POLICY.load(Ordering::Relaxed) {
-        0 => {
-            let policy = policy_from_env();
-            // Keep a racing `force_policy` call's override: only replace
-            // the uninitialised marker.
-            let _ = POLICY.compare_exchange(
-                0,
-                encode(policy),
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            );
-            decode(POLICY.load(Ordering::Relaxed))
-        }
-        bits => decode(bits),
-    }
-}
-
-/// Overrides the scheduling policy process-wide (tests, A/B sweeps).
-/// `None` returns to the `RTLFIXER_SCHED` environment setting.
+/// Overrides the scheduling policy process-wide — the test hook the
+/// scheduling invariance suite compares plans with. `None` restores LPT.
 pub fn force_policy(policy: Option<Policy>) {
-    match policy {
-        Some(policy) => POLICY.store(encode(policy) | 0b1000, Ordering::Relaxed),
-        None => POLICY.store(0, Ordering::Relaxed),
-    }
+    let bits = match policy {
+        None => 0,
+        Some(Policy::Grid) => 1,
+        Some(Policy::Lpt) => 2,
+    };
+    POLICY.store(bits, Ordering::Relaxed);
 }
 
 // ---- sharding -------------------------------------------------------------
@@ -319,7 +271,7 @@ pub struct Plan {
 
 impl Plan {
     /// The trivial grid-order plan: every position its own batch, in
-    /// order. Exactly the legacy claiming sequence.
+    /// order.
     pub fn grid(len: usize) -> Plan {
         Plan {
             batches: (0..len).map(|i| vec![i]).collect(),
@@ -362,13 +314,11 @@ impl Plan {
         Plan { batches, predicted, policy: Policy::Lpt }
     }
 
-    /// Builds the plan the active [`policy`] calls for. [`Policy::Legacy`]
-    /// callers should not reach this (the runner short-circuits to the
-    /// legacy engine); if one does, it gets the equivalent grid plan.
+    /// Builds the plan `active` calls for.
     pub fn for_policy(active: Policy, features: &[EpisodeFeatures], model: &CostModel) -> Plan {
         match active {
             Policy::Lpt => Plan::lpt(features, model),
-            Policy::Grid | Policy::Legacy => Plan::grid(features.len()),
+            Policy::Grid => Plan::grid(features.len()),
         }
     }
 
@@ -396,7 +346,7 @@ impl Plan {
 /// stays `Copy`.
 #[derive(Debug, Clone, Copy, serde::Serialize)]
 pub struct SchedulerStats {
-    /// Policy name (`"legacy"`, `"grid"`, `"lpt"`).
+    /// Policy name (`"grid"`, `"lpt"`, or `"mixed"` after merging both).
     pub policy: &'static str,
     /// Batches formed by the plan.
     pub batches: usize,
@@ -411,17 +361,6 @@ pub struct SchedulerStats {
 }
 
 impl SchedulerStats {
-    /// Stats for a legacy (unplanned) run.
-    pub fn legacy(episodes: usize) -> Self {
-        SchedulerStats {
-            policy: Policy::Legacy.name(),
-            batches: episodes,
-            coalesced: 0,
-            rank_correlation: 0.0,
-            barrier_idle_us: 0,
-        }
-    }
-
     /// Folds another cell's / shard's stats into this one: batches and
     /// idle add, and the rank correlation becomes the episode-weighted
     /// mean (`self` weighted by `self_episodes`, `other` by
@@ -694,15 +633,12 @@ mod tests {
     fn policy_override_wins_and_reverts() {
         force_policy(Some(Policy::Grid));
         assert_eq!(policy(), Policy::Grid);
-        force_policy(Some(Policy::Legacy));
-        assert_eq!(policy(), Policy::Legacy);
+        force_policy(Some(Policy::Lpt));
+        assert_eq!(policy(), Policy::Lpt);
         force_policy(None);
-        // Back on the environment (unset in the test harness → Lpt, or
-        // whatever the ambient RTLFIXER_SCHED says — either way stable).
-        let ambient = policy();
-        assert_eq!(policy(), ambient);
+        assert_eq!(policy(), Policy::Lpt, "LPT is the default");
         assert_eq!(Policy::Lpt.name(), "lpt");
-        assert_eq!(Policy::Legacy.name(), "legacy");
+        assert_eq!(Policy::Grid.name(), "grid");
     }
 
     #[test]

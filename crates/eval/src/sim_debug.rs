@@ -206,36 +206,32 @@ pub fn sim_debug_study(problems: &[Problem], seed: u64, jobs: usize) -> Vec<SimD
 
 /// [`sim_debug_study`] plus wall-clock stats (one episode per problem).
 ///
-/// Each problem derives its own mutation RNG (seed cell 60) and debugger
-/// seed (cell 61) from [`crate::runner::episode_seed`], so episodes are
-/// independent and run on the parallel pool; the per-bucket rows are
-/// aggregated afterwards and identical for every `jobs` value.
+/// Problem `i` is entry `i` of a one-repeat episode grid in seed cell 60:
+/// its spec seed drives the mutation RNG and its cell-61 twin seeds the
+/// debugger, so episodes are independent and run on the parallel pool;
+/// the per-bucket rows are aggregated afterwards and identical for every
+/// `jobs` value.
 pub fn sim_debug_study_timed(
     problems: &[Problem],
     seed: u64,
     jobs: usize,
 ) -> (Vec<SimDebugStudy>, crate::runner::RunStats) {
-    let start = std::time::Instant::now();
+    use crate::runner::{episode_grid, episode_seed, run_episodes};
+    let specs = episode_grid(seed, 60, problems.len(), 1);
     // Per-problem outcome: None when the problem yielded no usable bug,
     // otherwise (is_simple, repaired).
-    let outcomes: Vec<Option<(bool, bool)>> =
-        crate::runner::run_indexed(jobs, problems.len(), |idx| {
-            let problem = &problems[idx];
-            let mut rng = StdRng::seed_from_u64(crate::runner::episode_seed(
-                seed, 60, idx as u64, 0,
-            ));
-            let buggy = rtlfixer_dataset::mutate::inject_functional_bug(
-                &problem.solution,
-                &mut rng,
-            )?;
-            if problem.check(&buggy) == Verdict::Pass {
-                return None; // mutation happened to be benign
-            }
-            let is_simple = problem.solution.lines().count() <= SIMPLE_LINE_LIMIT;
-            let mut debugger =
-                SimDebugger::new(crate::runner::episode_seed(seed, 61, idx as u64, 0));
-            Some((is_simple, debugger.debug(problem, &buggy).success))
-        });
+    let (outcomes, stats) = run_episodes(jobs, &specs, |spec| {
+        let problem = &problems[spec.entry];
+        let mut rng = StdRng::seed_from_u64(spec.seed);
+        let buggy =
+            rtlfixer_dataset::mutate::inject_functional_bug(&problem.solution, &mut rng)?;
+        if problem.check(&buggy) == Verdict::Pass {
+            return None; // mutation happened to be benign
+        }
+        let is_simple = problem.solution.lines().count() <= SIMPLE_LINE_LIMIT;
+        let mut debugger = SimDebugger::new(episode_seed(seed, 61, spec.entry as u64, 0));
+        Some((is_simple, debugger.debug(problem, &buggy).success))
+    });
     let mut rows = vec![
         SimDebugStudy { set: "simple modules".into(), attempted: 0, repaired: 0 },
         SimDebugStudy { set: "complex modules".into(), attempted: 0, repaired: 0 },
@@ -247,7 +243,7 @@ pub fn sim_debug_study_timed(
             row.repaired += 1;
         }
     }
-    (rows, crate::runner::RunStats::new(problems.len(), start.elapsed()))
+    (rows, stats)
 }
 
 #[cfg(test)]

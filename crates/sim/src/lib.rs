@@ -39,23 +39,14 @@
 pub mod elab;
 mod fast;
 pub mod interp;
-mod lanes;
 mod lower;
 mod tape;
 pub mod testbench;
-mod thread;
 pub mod value;
 pub mod vcd;
 mod wide;
 
-pub use interp::{
-    force_sim_backends, force_sim_lanes, force_sim_threaded, force_sim_wide, SimError, Simulator,
-    StateValue,
-};
-pub use lanes::{LaneAction, LaneRunner, LaneStats};
+pub use interp::{force_sim_backends, force_sim_wide, SimError, Simulator, StateValue};
 pub use tape::TapeStats;
-pub use testbench::{
-    run_testbench, run_testbench_seeds, run_testbench_seeds_with_stats, Clocking, ReferenceModel,
-    TestResult,
-};
+pub use testbench::{run_testbench, Clocking, ReferenceModel, TestResult};
 pub use value::LogicVec;

@@ -243,8 +243,6 @@ pub(crate) struct FastTape {
     pub(crate) limbs: u32,
     /// Wide-constant pool: `limbs` u64s per entry, LSB limb first.
     pub(crate) wconsts: Box<[u64]>,
-    /// Lazily-built threaded-dispatch handler table (`limbs == 1` only).
-    pub(crate) thread: std::sync::OnceLock<crate::thread::Handlers>,
 }
 
 /// Two-state ops. Registers always hold values masked to their static
@@ -2253,7 +2251,6 @@ impl<'k> Compiler<'k> {
             cone: cone.into_boxed_slice(),
             limbs,
             wconsts: wconsts.into_boxed_slice(),
-            thread: std::sync::OnceLock::new(),
         })
     }
 
