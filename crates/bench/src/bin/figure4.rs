@@ -3,16 +3,12 @@
 //!
 //! Run with `cargo run --release -p rtlfixer-bench --bin figure4`.
 
-use rtlfixer_bench::{fmt3, folded_stats, record_run, render_table, RunScale};
-use rtlfixer_eval::experiments::table2::{evaluate_suite, PassAtKConfig};
+use rtlfixer_bench::{fmt3, folded_stats, pass_at_k_config, record_run, render_table, RunScale};
+use rtlfixer_eval::experiments::table2::evaluate_suite;
 
 fn main() {
     let scale = RunScale::from_args();
-    let config = if scale.quick {
-        PassAtKConfig { samples: 8, max_problems: Some(30), seed: 11, jobs: scale.jobs }
-    } else {
-        PassAtKConfig { jobs: scale.jobs, ..Default::default() }
-    };
+    let config = pass_at_k_config(&scale);
     eprintln!("Figure 4: outcome shares before/after fixing");
     let mut rows = Vec::new();
     let mut suite_stats = Vec::new();

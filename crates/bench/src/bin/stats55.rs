@@ -4,16 +4,12 @@
 //!
 //! Run with `cargo run --release -p rtlfixer-bench --bin stats55`.
 
-use rtlfixer_bench::{fmt3, record_run, RunScale};
-use rtlfixer_eval::experiments::table2::{evaluate_suite, PassAtKConfig};
+use rtlfixer_bench::{fmt3, pass_at_k_config, record_run, RunScale};
+use rtlfixer_eval::experiments::table2::evaluate_suite;
 
 fn main() {
     let scale = RunScale::from_args();
-    let config = if scale.quick {
-        PassAtKConfig { samples: 8, max_problems: Some(40), seed: 11, jobs: scale.jobs }
-    } else {
-        PassAtKConfig { jobs: scale.jobs, ..Default::default() }
-    };
+    let config = pass_at_k_config(&scale);
     let evaluation =
         evaluate_suite("Human", &rtlfixer_dataset::verilog_eval_human(), &config);
     let shares = evaluation.shares_original;

@@ -9,7 +9,7 @@
 //! unsharded run prints.
 
 use rtlfixer_bench::shards::{as_bool, as_str, as_usize, read_fragments, stats_from_json};
-use rtlfixer_bench::{die, fmt3, record_run, render_table, RunScale};
+use rtlfixer_bench::{die, fmt3, pass_at_k_config, record_run, render_table, RunScale};
 use rtlfixer_dataset::{Difficulty, Problem};
 use rtlfixer_eval::experiments::table2::{
     evaluate_suite, evaluate_suite_counts, suite_from_counts, PassAtKConfig, ProblemCounts,
@@ -25,14 +25,6 @@ const PAPER: &[(&str, &str, f64, f64, f64, f64)] = &[
     ("Machine", "easy", 0.568, 0.833, 0.782, 0.892),
     ("Machine", "hard", 0.367, 0.771, 0.601, 0.890),
 ];
-
-fn config_for(scale: &RunScale) -> PassAtKConfig {
-    if scale.quick {
-        PassAtKConfig { samples: 8, max_problems: Some(30), seed: 11, jobs: scale.jobs }
-    } else {
-        PassAtKConfig { jobs: scale.jobs, ..Default::default() }
-    }
-}
 
 /// Encodes one suite's sharded counts for a fragment payload.
 fn suite_json(counts: &[(usize, ProblemCounts)], stats: rtlfixer_eval::RunStats) -> serde_json::Value {
@@ -164,7 +156,7 @@ fn finish(scale: &RunScale, human: &SuiteEvaluation, machine: &SuiteEvaluation) 
 
 fn main() {
     let scale = RunScale::from_args();
-    let config = config_for(&scale);
+    let config = pass_at_k_config(&scale);
     let human_problems = rtlfixer_dataset::verilog_eval_human();
     let machine_problems = rtlfixer_dataset::verilog_eval_machine();
     if let Some(count) = scale.merge_shards {

@@ -26,6 +26,8 @@
 pub mod shards;
 pub mod simdesigns;
 
+use rtlfixer_eval::experiments::table2::PassAtKConfig;
+
 /// Formats a ratio with three decimals (`0.985`).
 pub fn fmt3(value: f64) -> String {
     format!("{value:.3}")
@@ -95,7 +97,8 @@ impl RunScale {
     /// `--shard i/n` and the `merge-shards <n>` subcommand from the
     /// process arguments, and switches the process-wide telemetry registry
     /// on when `--telemetry` is present. `--jobs` defaults to `0`, meaning
-    /// "use the machine's available parallelism". Invalid shard arguments
+    /// "use the machine's available parallelism". An unknown argument, a
+    /// missing or non-numeric `--jobs` value and invalid shard arguments
     /// exit with status 2 and a message on stderr.
     pub fn from_args() -> Self {
         let scale = Self::parse_args(std::env::args().skip(1)).unwrap_or_else(|message| {
@@ -120,11 +123,10 @@ impl RunScale {
             } else if arg == "--telemetry" {
                 scale.telemetry = true;
             } else if arg == "--jobs" {
-                if let Some(value) = args.next() {
-                    scale.jobs = value.parse().unwrap_or(0);
-                }
+                let value = args.next().ok_or("--jobs expects a worker count (0 = all cores)")?;
+                scale.jobs = parse_jobs(&value)?;
             } else if let Some(value) = arg.strip_prefix("--jobs=") {
-                scale.jobs = value.parse().unwrap_or(0);
+                scale.jobs = parse_jobs(value)?;
             } else if arg == "--shard" {
                 let value = args.next().ok_or("--shard expects i/n (e.g. 0/2)")?;
                 scale.shard = Some(rtlfixer_eval::Shard::parse(&value)?);
@@ -139,6 +141,11 @@ impl RunScale {
                     return Err("merge-shards expects a shard count >= 1".to_owned());
                 }
                 scale.merge_shards = Some(count);
+            } else {
+                return Err(format!(
+                    "unknown argument `{arg}` (expected --quick, --jobs N, --telemetry, \
+                     --shard i/n or merge-shards n)"
+                ));
             }
         }
         if scale.shard.is_some() && scale.merge_shards.is_some() {
@@ -148,10 +155,27 @@ impl RunScale {
     }
 }
 
+/// Parses a `--jobs` value: a non-negative worker count.
+fn parse_jobs(value: &str) -> Result<usize, String> {
+    value.parse().map_err(|_| format!("--jobs expects a worker count, got `{value}`"))
+}
+
+/// The pass@k grid `table2`, `figure4` and `stats55` share: n = 20
+/// samples over every problem at full scale, 8 samples over a 30-problem
+/// stride with `--quick`. One config for all three keeps Figure 4's shares
+/// and the §4.2 statistic on the same grid as Table 2.
+pub fn pass_at_k_config(scale: &RunScale) -> PassAtKConfig {
+    if scale.quick {
+        PassAtKConfig { samples: 8, max_problems: Some(30), seed: 11, jobs: scale.jobs }
+    } else {
+        PassAtKConfig { jobs: scale.jobs, ..Default::default() }
+    }
+}
+
 /// Folds per-cell stats into one run's stats through
 /// [`RunStats::accumulate`](rtlfixer_eval::RunStats::accumulate): episodes,
 /// failures and seconds add, throughput counts successful episodes only,
-/// and scheduler metadata merges episode-weighted.
+/// and scheduler metadata adds.
 pub fn folded_stats<'a>(
     cells: impl IntoIterator<Item = &'a rtlfixer_eval::RunStats>,
 ) -> rtlfixer_eval::RunStats {
@@ -267,10 +291,8 @@ pub fn record_run_with(
         "caches": caches,
         "faults": faults,
     });
-    // Scheduler metadata: the run's own stats if it went through the
-    // planner, else the process-wide report (experiments that fold cells
-    // publish their merged stats there).
-    if let Some(scheduler) = stats.scheduler.or_else(rtlfixer_eval::scheduler_report) {
+    // Scheduler metadata, for runs that went through the episode pool.
+    if let Some(scheduler) = stats.scheduler {
         if let Some(mut map) = entry.as_object_mut() {
             map.insert("scheduler".to_owned(), serde_json::Value::from_serialize(&scheduler));
         }
@@ -315,13 +337,7 @@ mod tests {
     fn folded_stats_keep_failures_and_count_only_successful_throughput() {
         use rtlfixer_eval::{RunStats, SchedulerStats};
         use std::time::Duration;
-        let scheduler = SchedulerStats {
-            policy: "grid",
-            batches: 10,
-            coalesced: 0,
-            rank_correlation: 0.0,
-            barrier_idle_us: 5,
-        };
+        let scheduler = SchedulerStats { batches: 10, barrier_idle_us: 5 };
         let failing = RunStats::new(10, Duration::from_secs(1))
             .with_failed(4)
             .with_scheduler(scheduler);
@@ -355,6 +371,34 @@ mod tests {
         assert_eq!(scale.jobs, 0);
         assert_eq!(scale.shard, None);
         assert_eq!(scale.merge_shards, None);
+        assert_eq!(RunScale::parse_args(args(&["--jobs", "0"])).unwrap().jobs, 0);
+        // Rejections: a missing, non-numeric or negative count must not
+        // silently mean "all cores".
+        for bad in
+            [&["--jobs"][..], &["--jobs", "x"], &["--jobs=-1"], &["--jobs="], &["--jobs", "2.5"]]
+        {
+            let err = RunScale::parse_args(args(bad)).unwrap_err();
+            assert!(err.contains("--jobs expects a worker count"), "{bad:?}: {err}");
+        }
+        // Nor may a typo silently start a full-scale run.
+        for bad in [&["--quik"][..], &["--quick", "extra"], &["-j", "2"], &["--telemetry=1"]] {
+            let err = RunScale::parse_args(args(bad)).unwrap_err();
+            assert!(err.contains("unknown argument"), "{bad:?}: {err}");
+        }
+    }
+
+    #[test]
+    fn pass_at_k_config_is_one_grid_per_scale() {
+        let args = |list: &[&str]| list.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        let quick = RunScale::parse_args(args(&["--quick", "--jobs", "3"])).unwrap();
+        let quick = pass_at_k_config(&quick);
+        assert_eq!(
+            (quick.samples, quick.max_problems, quick.seed, quick.jobs),
+            (8, Some(30), 11, 3)
+        );
+        let full = pass_at_k_config(&RunScale::parse_args(args(&[])).unwrap());
+        let paper = PassAtKConfig::default();
+        assert_eq!((full.samples, full.max_problems, full.seed), (paper.samples, None, paper.seed));
     }
 
     #[test]

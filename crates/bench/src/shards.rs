@@ -79,7 +79,7 @@ pub fn read_fragments(experiment: &str, count: usize) -> Result<Vec<Value>, Stri
 }
 
 /// The value as a string, if it is one (the vendored `Value` has no
-/// `as_str`; fragments need it for labels and policy names).
+/// `as_str`; fragments need it for labels).
 pub fn as_str(value: &Value) -> Option<&str> {
     match &value.0 {
         Content::Str(s) => Some(s),
@@ -129,33 +129,15 @@ pub fn stats_from_json(value: &Value) -> Result<RunStats, String> {
     })
 }
 
-/// Decodes a fragment's serialised [`SchedulerStats`]. The policy label
-/// maps back onto the static names; anything unrecognised reads as
-/// `"mixed"` rather than failing the merge.
+/// Decodes a fragment's serialised [`SchedulerStats`].
 fn scheduler_from_json(value: &Value) -> Result<SchedulerStats, String> {
-    let int = |key: &str| {
-        value
-            .get(key)
-            .and_then(as_usize)
-            .ok_or_else(|| format!("fragment scheduler stats missing `{key}`"))
-    };
-    let policy = match as_str(&value["policy"]) {
-        Some("grid") => "grid",
-        Some("lpt") => "lpt",
-        _ => "mixed",
-    };
+    let missing = |key: &str| format!("fragment scheduler stats missing `{key}`");
     Ok(SchedulerStats {
-        policy,
-        batches: int("batches")?,
-        coalesced: int("coalesced")?,
-        rank_correlation: value
-            .get("rank_correlation")
-            .and_then(Value::as_f64)
-            .ok_or("fragment scheduler stats missing `rank_correlation`")?,
+        batches: value.get("batches").and_then(as_usize).ok_or_else(|| missing("batches"))?,
         barrier_idle_us: value
             .get("barrier_idle_us")
             .and_then(Value::as_u64)
-            .ok_or("fragment scheduler stats missing `barrier_idle_us`")?,
+            .ok_or_else(|| missing("barrier_idle_us"))?,
     })
 }
 
@@ -199,21 +181,13 @@ mod tests {
     fn stats_round_trip_through_fragment_json() {
         let stats = RunStats::new(24, std::time::Duration::from_millis(500))
             .with_failed(2)
-            .with_scheduler(SchedulerStats {
-                policy: "lpt",
-                batches: 7,
-                coalesced: 3,
-                rank_correlation: 0.75,
-                barrier_idle_us: 42,
-            });
+            .with_scheduler(SchedulerStats { batches: 24, barrier_idle_us: 42 });
         let decoded = stats_from_json(&Value::from_serialize(&stats)).expect("round trips");
         assert_eq!(decoded.episodes, 24);
         assert_eq!(decoded.failed_episodes, 2);
         assert_eq!(decoded.seconds.to_bits(), stats.seconds.to_bits());
         let sched = decoded.scheduler.expect("scheduler survives");
-        assert_eq!(sched.policy, "lpt");
-        assert_eq!(sched.batches, 7);
-        assert_eq!(sched.barrier_idle_us, 42);
+        assert_eq!((sched.batches, sched.barrier_idle_us), (24, 42));
         // A scheduler-less run decodes to `None` (serialised as null).
         let bare = RunStats::new(1, std::time::Duration::from_millis(1));
         assert!(stats_from_json(&Value::from_serialize(&bare)).unwrap().scheduler.is_none());

@@ -13,8 +13,8 @@ use rtlfixer_llm::Capability;
 
 use crate::episode::{run_repair, RepairJob};
 use crate::metrics::fix_rate;
-use crate::runner::{episode_grid, run_episodes_planned, EpisodeSpec, RunStats};
-use crate::schedule::{self, EpisodeFeatures, Shard};
+use crate::runner::{episode_grid, run_episodes_checked, EpisodeSpec, RunStats};
+use crate::schedule::Shard;
 
 /// Configuration for fix-rate experiments.
 #[derive(Debug, Clone, Copy)]
@@ -115,11 +115,10 @@ pub fn fix_rate_from_successes(successes: &[bool], repeats: usize) -> f64 {
 
 /// Runs one Table 1 cell's shard, returning raw verdicts by grid position.
 ///
-/// Episodes execute on the planned pool ([`run_episodes_planned`]) in LPT +
-/// fingerprint-batching claim order, but per-episode seeds come from the canonical
+/// Episodes execute on the pool ([`run_episodes_checked`]) in grid order;
+/// per-episode seeds come from the canonical
 /// [`episode_seed`](crate::runner::episode_seed) grid and results land by
-/// position — bit-identical for every `config.jobs` value, policy and
-/// shard split.
+/// position — bit-identical for every `config.jobs` value and shard split.
 #[allow(clippy::too_many_arguments)]
 pub fn run_cell_verdicts(
     entries: &[SyntaxBenchEntry],
@@ -134,14 +133,7 @@ pub fn run_cell_verdicts(
     let grid = episode_grid(config.base_seed, cell_index, entries.len(), config.repeats);
     let positions = shard.indices(grid.len());
     let specs: Vec<EpisodeSpec> = positions.iter().map(|&p| grid[p]).collect();
-    let features: Vec<EpisodeFeatures> = specs
-        .iter()
-        .map(|spec| {
-            let entry = &entries[spec.entry];
-            EpisodeFeatures::of(&entry.code, entry.categories.first().map(|c| c.slug()))
-        })
-        .collect();
-    let (results, failures, stats) = run_episodes_planned(config.jobs, &specs, &features, |spec| {
+    let (results, failures, stats) = run_episodes_checked(config.jobs, &specs, |spec| {
         let entry = &entries[spec.entry];
         // The canonical episode path (`episode::run_repair`) — shared with
         // the serve daemon, so a served request reproduces a batch episode
@@ -239,11 +231,10 @@ pub fn load_entries(config: &FixRateConfig) -> Arc<Vec<SyntaxBenchEntry>> {
 /// Runs one shard of the full Table 1 grid (14 cells), returning raw
 /// verdicts per cell. A `--shard i/n` bench process runs exactly this and
 /// writes the result as a fragment; `merge-shards` reassembles fragments
-/// through [`merge_table1_verdicts`]. Also publishes the shard's folded
-/// scheduler stats as the process-wide report.
+/// through [`merge_table1_verdicts`].
 pub fn table1_verdicts(config: &FixRateConfig, shard: Shard) -> Vec<CellVerdicts> {
     let entries = load_entries(config);
-    let cells: Vec<CellVerdicts> = PAPER_TABLE1
+    PAPER_TABLE1
         .iter()
         .enumerate()
         .map(|(cell_index, &(strategy_label, rag, compiler_label, llm_label, _))| {
@@ -263,15 +254,7 @@ pub fn table1_verdicts(config: &FixRateConfig, shard: Shard) -> Vec<CellVerdicts
                 shard,
             )
         })
-        .collect();
-    let mut total = RunStats::new(0, std::time::Duration::ZERO);
-    for cell in &cells {
-        total.accumulate(&cell.stats);
-    }
-    if let Some(scheduler) = total.scheduler {
-        schedule::publish_report(scheduler);
-    }
-    cells
+        .collect()
 }
 
 /// A merged Table 1 run: the rendered cells plus the 128-bit fingerprint

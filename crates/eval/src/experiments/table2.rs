@@ -10,8 +10,8 @@ use rtlfixer_dataset::{Difficulty, Problem, Verdict};
 use rtlfixer_llm::{Capability, ResilientModel, SimulatedLlm};
 
 use crate::metrics::mean_pass_at_k;
-use crate::runner::{episode_seed, run_episodes_planned, EpisodeSpec, RunStats};
-use crate::schedule::{self, EpisodeFeatures, Shard};
+use crate::runner::{episode_seed, run_episodes_checked, EpisodeSpec, RunStats};
+use crate::schedule::Shard;
 
 /// Configuration for generation-based experiments.
 #[derive(Debug, Clone, Copy)]
@@ -205,8 +205,7 @@ fn subset<'a>(problems: &'a [Problem], config: &PassAtKConfig) -> Vec<&'a Proble
 /// Evaluates one shard's stripe of a suite, returning raw per-problem
 /// counts tagged with their subset index. A `--shard i/n` bench process
 /// runs exactly this; [`suite_from_counts`] reassembles fragments into the
-/// same [`SuiteEvaluation`] an unsharded run produces. Also publishes the
-/// shard's scheduler stats as the process-wide report.
+/// same [`SuiteEvaluation`] an unsharded run produces.
 pub fn evaluate_suite_counts(
     problems: &[Problem],
     config: &PassAtKConfig,
@@ -217,8 +216,8 @@ pub fn evaluate_suite_counts(
     // One problem per pool task: sample generation is sequential within a
     // problem (the generator's RNG stream is per-problem), but problems are
     // independent, seeded by subset index, and safe to run in any order.
-    // Synthetic specs carry the subset index so the planner can order them;
-    // the seeds episodes actually use derive inside `evaluate_problem`.
+    // Synthetic specs carry the subset index into the pool; the seeds
+    // episodes actually use derive inside `evaluate_problem`.
     let specs: Vec<EpisodeSpec> = positions
         .iter()
         .map(|&p| EpisodeSpec {
@@ -228,14 +227,9 @@ pub fn evaluate_suite_counts(
             seed: episode_seed(config.seed, 40, p as u64, 0),
         })
         .collect();
-    let features: Vec<EpisodeFeatures> = positions
-        .iter()
-        .map(|&p| EpisodeFeatures::of(&problems[p].description, None))
-        .collect();
-    let (results, failures, mut stats) =
-        run_episodes_planned(config.jobs, &specs, &features, |spec| {
-            evaluate_problem(problems[spec.entry], config, spec.entry as u64)
-        });
+    let (results, failures, mut stats) = run_episodes_checked(config.jobs, &specs, |spec| {
+        evaluate_problem(problems[spec.entry], config, spec.entry as u64)
+    });
     if let Some(first) = failures.first() {
         panic!(
             "{} of {} problems panicked; first at subset index {}: {}",
@@ -250,9 +244,6 @@ pub fn evaluate_suite_counts(
     stats.episodes = specs.len() * config.samples;
     stats.episodes_per_sec =
         if stats.seconds > 0.0 { stats.episodes as f64 / stats.seconds } else { 0.0 };
-    if let Some(scheduler) = stats.scheduler {
-        schedule::publish_report(scheduler);
-    }
     let counts = positions
         .into_iter()
         .zip(results)

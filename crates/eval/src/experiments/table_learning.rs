@@ -25,8 +25,7 @@ use rtlfixer_rag::DistilledStore;
 
 use super::table1::{fix_rate_from_successes, load_entries, FixRateConfig};
 use crate::episode::{run_repair, RepairJob};
-use crate::runner::{episode_grid, run_episodes_planned, RunStats};
-use crate::schedule::EpisodeFeatures;
+use crate::runner::{episode_grid, run_episodes_checked, RunStats};
 
 /// Seed cell for every learning-curve round (see the namespace table in
 /// [`crate::runner`]). One cell for all rounds is deliberate: reusing the
@@ -96,18 +95,11 @@ pub fn run_learning(config: &LearningConfig) -> Vec<LearningPoint> {
         entries.len(),
         config.episodes.repeats,
     );
-    let features: Vec<EpisodeFeatures> = grid
-        .iter()
-        .map(|spec| {
-            let entry = &entries[spec.entry];
-            EpisodeFeatures::of(&entry.code, entry.categories.first().map(|c| c.slug()))
-        })
-        .collect();
 
     let mut points = Vec::with_capacity(config.rounds);
     for round in 0..config.rounds {
         let (outcomes, failures, stats) =
-            run_episodes_planned(config.episodes.jobs, &grid, &features, |spec| {
+            run_episodes_checked(config.episodes.jobs, &grid, |spec| {
                 let entry = &entries[spec.entry];
                 run_repair(&RepairJob {
                     problem: &entry.description,

@@ -5,15 +5,12 @@
 //! * [`metrics`] — the paper's Eq. 1 (fix rate) and Eq. 2 (unbiased
 //!   pass@k).
 //! * [`runner`] — the deterministic parallel episode-execution engine all
-//!   experiments run on: one self-scheduling executor plus the canonical
-//!   per-episode seed derivation, guaranteeing results are bit-identical
-//!   for any `--jobs` value.
-//! * [`schedule`] — the planning layer over the runner: a telemetry-seeded
-//!   cost model orders the claim queue longest-expected-first, specs
-//!   sharing a source fingerprint coalesce into cache-warming batches, and
-//!   [`schedule::Shard`] partitions grids for deterministic multi-process
-//!   runs (`--shard i/n` + `merge-shards`). Scheduling never changes
-//!   results — only when they are computed.
+//!   experiments run on: one executor claiming episodes in grid order plus
+//!   the canonical per-episode seed derivation, guaranteeing results are
+//!   bit-identical for any `--jobs` value.
+//! * [`schedule`] — [`schedule::Shard`] partitions grids for deterministic
+//!   multi-process runs (`--shard i/n` + `merge-shards`), and
+//!   [`schedule::SchedulerStats`] is the pool metadata runs record.
 //! * [`experiments::table1`] — the fix-rate grid (strategy × RAG ×
 //!   feedback × LLM), with the paper's reported values embedded for
 //!   side-by-side comparison.
@@ -43,9 +40,6 @@ pub use episode::{run_repair, RepairJob};
 pub use metrics::{fix_rate, mean_pass_at_k, pass_at_k};
 pub use runner::{
     cache_report, episode_seed, panic_message, resolve_jobs, run_episodes, run_episodes_checked,
-    run_episodes_planned, run_planned_checked, CacheReport, EpisodeFailure, EpisodeSpec,
-    PlannedMetrics, RunStats,
+    CacheReport, EpisodeFailure, EpisodeSpec, RunStats,
 };
-pub use schedule::{
-    scheduler_report, CostModel, EpisodeFeatures, Plan, Policy, SchedulerStats, Shard,
-};
+pub use schedule::{SchedulerStats, Shard};

@@ -9,15 +9,14 @@
 //!
 //! * [`episode_seed`] — the single canonical seed derivation every
 //!   experiment uses (one namespace, documented below).
-//! * [`run_planned_checked`] — the one episode executor: a self-scheduling
-//!   thread pool that claims whole batches of a
-//!   [`Plan`](crate::schedule::Plan), contains per-episode panics as
-//!   structured [`EpisodeFailure`]s, and reassembles results in index
-//!   order so parallel runs are byte-identical to `jobs = 1`.
-//! * [`episode_grid`] / [`run_episodes`] / [`run_episodes_checked`] — the
-//!   flattened entries × repeats grid most experiments execute, run in
-//!   grid order with wall-clock [`RunStats`];
-//!   [`run_episodes_planned`] runs it in the cost model's order.
+//! * [`episode_grid`] — the flattened entries × repeats grid most
+//!   experiments execute.
+//! * [`run_episodes_checked`] — the one episode executor: a thread pool
+//!   whose workers claim episodes from an atomic cursor in grid order,
+//!   contain per-episode panics as structured [`EpisodeFailure`]s, and
+//!   reassemble results in index order so parallel runs are byte-identical
+//!   to `jobs = 1`. It returns wall-clock [`RunStats`];
+//!   [`run_episodes`] is the same run with panics propagated.
 //!
 //! # Seed namespace
 //!
@@ -72,7 +71,7 @@ pub fn resolve_jobs(requested: usize) -> usize {
     }
 }
 
-/// One contained episode panic from [`run_planned_checked`].
+/// One contained episode panic from [`run_episodes_checked`].
 #[derive(Debug, Clone)]
 pub struct EpisodeFailure {
     /// Index of the panicking task.
@@ -109,65 +108,43 @@ pub fn panic_message(payload: Box<dyn Any + Send>) -> String {
     format!("non-string panic payload ({:?})", (*payload).type_id())
 }
 
-/// Per-episode actuals and barrier accounting from one planned run
-/// ([`run_planned_checked`]).
-#[derive(Debug, Clone)]
-pub struct PlannedMetrics {
-    /// Measured episode duration by original index, in microseconds — the
-    /// "actual" side of the cost model's predicted-vs-actual rank
-    /// correlation.
-    pub actual_us: Vec<u64>,
-    /// Total wall time workers spent idle at the pool barrier (their own
-    /// queue drained, other workers still running), in microseconds.
-    /// Always `0` on the serial path, which has no barrier.
-    pub barrier_idle_us: u64,
-}
-
-/// Executes a [`Plan`](crate::schedule::Plan): workers claim whole batches
-/// from a shared cursor and run members back-to-back (so a batch leader's
-/// compile/elaborate warms the artifact caches for its followers), then
-/// flush results through one lock per worker. The `run_episodes*` runners clamp
-/// `jobs` to the hardware (oversubscribed, time-sliced workers only add
-/// overhead); this function honours the count it is given so tests can
-/// exercise specific worker configurations.
+/// Runs `task(0..len)` on `jobs` workers that claim indices from a shared
+/// cursor in ascending order, then flush results through one lock per
+/// worker. [`run_episodes_checked`] clamps `jobs` to the hardware
+/// (oversubscribed, time-sliced workers only add overhead); this function
+/// honours the count it is given so tests can exercise specific worker
+/// configurations.
 ///
 /// A panicking task yields a structured [`EpisodeFailure`] (and a `None`
 /// result slot) instead of aborting the pool — one poisoned episode cannot
 /// sink a whole grid. Each task runs inside an observability episode
 /// capture, so whatever it records lands in a worker-local buffer. Results
-/// land in slots by original index, and the captures merge into the
-/// registry at the barrier in index order, so outputs and telemetry are
-/// bit-identical for every `jobs` value and every plan over the same
-/// positions. Failures are returned in index order.
-pub fn run_planned_checked<R, F>(
-    jobs: usize,
-    plan: &crate::schedule::Plan,
-    task: F,
-) -> (Vec<Option<R>>, Vec<EpisodeFailure>, PlannedMetrics)
+/// land in slots by index, and the captures merge into the registry at the
+/// barrier in index order, so outputs and telemetry are bit-identical for
+/// every `jobs` value. Failures are returned in index order, followed by
+/// the total wall time workers spent idle at the barrier (their own claims
+/// done, other workers still running), in microseconds — always `0` on the
+/// serial path, which has no barrier.
+fn run_pool<R, F>(jobs: usize, len: usize, task: F) -> (Vec<Option<R>>, Vec<EpisodeFailure>, u64)
 where
     R: Send,
     F: Fn(usize) -> R + Sync,
 {
-    let len = plan.len();
-    let jobs = resolve_jobs(jobs).min(plan.batches.len().max(1));
+    let jobs = resolve_jobs(jobs).min(len.max(1));
     let run_one = |index: usize| {
         rtlfixer_obs::episode_begin();
-        let start = Instant::now();
         let result = catch_unwind(AssertUnwindSafe(|| task(index)));
-        let micros = u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX);
         let telemetry = rtlfixer_obs::episode_end();
-        (result.map_err(panic_message), telemetry, micros)
+        (result.map_err(panic_message), telemetry)
     };
-    type Slot<R> = (Result<R, String>, Option<rtlfixer_obs::EpisodeTelemetry>, u64);
+    type Slot<R> = (Result<R, String>, Option<rtlfixer_obs::EpisodeTelemetry>);
 
     let mut slots: Vec<Option<Slot<R>>> = Vec::new();
     slots.resize_with(len, || None);
     let mut barrier_idle_us = 0u64;
     if jobs <= 1 {
-        for batch in &plan.batches {
-            for &index in batch {
-                slots[index] = Some(run_one(index));
-            }
+        for (index, slot) in slots.iter_mut().enumerate() {
+            *slot = Some(run_one(index));
         }
     } else {
         let cursor = AtomicUsize::new(0);
@@ -182,11 +159,11 @@ where
                 scope.spawn(move || {
                     let mut local: Vec<(usize, Slot<R>)> = Vec::new();
                     loop {
-                        let claim = cursor.fetch_add(1, Ordering::Relaxed);
-                        let Some(batch) = plan.batches.get(claim) else { break };
-                        for &index in batch {
-                            local.push((index, run_one(index)));
+                        let index = cursor.fetch_add(1, Ordering::Relaxed);
+                        if index >= len {
+                            break;
                         }
+                        local.push((index, run_one(index)));
                     }
                     // The worker is done before it queues for the flush
                     // locks, so lock contention does not count as idle.
@@ -218,16 +195,13 @@ where
 
     let mut results = Vec::with_capacity(len);
     let mut failures = Vec::new();
-    let mut actual_us = Vec::with_capacity(len);
     for (index, slot) in slots.into_iter().enumerate() {
-        let (result, telemetry, micros) =
-            slot.expect("plan covered every position exactly once");
+        let (result, telemetry) = slot.expect("every index claimed exactly once");
         // The pool barrier: worker-local telemetry merges in index order,
-        // independent of which worker ran what, in which batch.
+        // independent of which worker ran what.
         if let Some(telemetry) = &telemetry {
             rtlfixer_obs::merge(telemetry);
         }
-        actual_us.push(micros);
         match result {
             Ok(value) => results.push(Some(value)),
             Err(message) => {
@@ -236,7 +210,7 @@ where
             }
         }
     }
-    (results, failures, PlannedMetrics { actual_us, barrier_idle_us })
+    (results, failures, barrier_idle_us)
 }
 
 /// Coordinates plus derived seed for one episode.
@@ -339,9 +313,8 @@ pub struct RunStats {
     /// Episodes that panicked and were contained as [`EpisodeFailure`]s
     /// (always 0 on the unchecked paths, which abort instead).
     pub failed_episodes: usize,
-    /// Scheduler metadata of the run (policy, batches formed,
-    /// predicted-vs-actual rank correlation, barrier idle) — `None`
-    /// (serialised as `null`) for stats not produced by the episode
+    /// Scheduler metadata of the run (episodes claimed, barrier idle) —
+    /// `None` (serialised as `null`) for stats not produced by the episode
     /// runner.
     pub scheduler: Option<crate::schedule::SchedulerStats>,
 }
@@ -376,14 +349,11 @@ impl RunStats {
     }
 
     /// Folds another run's wall-clock stats into this one (episodes and
-    /// seconds add, throughput recomputes, scheduler metadata merges
-    /// episode-weighted). The aggregation the multi-cell binaries and the
-    /// shard-merge tool share.
+    /// seconds add, throughput recomputes, scheduler metadata adds). The
+    /// aggregation the multi-cell binaries and the shard-merge tool share.
     pub fn accumulate(&mut self, other: &RunStats) {
         match (&mut self.scheduler, &other.scheduler) {
-            (Some(mine), Some(theirs)) => {
-                mine.merge(self.episodes, theirs, other.episodes);
-            }
+            (Some(mine), Some(theirs)) => mine.merge(theirs),
             (slot @ None, Some(theirs)) => *slot = Some(*theirs),
             _ => {}
         }
@@ -425,7 +395,9 @@ where
 
 /// [`run_episodes`] with panic containment: a panicking episode yields a
 /// `None` result and an [`EpisodeFailure`], the rest of the grid completes,
-/// and the failure count lands in [`RunStats::failed_episodes`].
+/// and the failure count lands in [`RunStats::failed_episodes`]. The stats
+/// carry the run's [`SchedulerStats`](crate::schedule::SchedulerStats) for
+/// `results/bench_eval.json`.
 pub fn run_episodes_checked<R, F>(
     jobs: usize,
     specs: &[EpisodeSpec],
@@ -435,63 +407,19 @@ where
     R: Send,
     F: Fn(&EpisodeSpec) -> R + Sync,
 {
-    run_plan(jobs, &crate::schedule::Plan::grid(specs.len()), specs, episode)
-}
-
-/// [`run_episodes_checked`] in the order the scheduling subsystem
-/// ([`crate::schedule`]) plans: LPT + fingerprint batching unless a test
-/// forces the grid plan. Results and failures are by original grid
-/// position under every plan — scheduling is invisible in the outputs.
-pub fn run_episodes_planned<R, F>(
-    jobs: usize,
-    specs: &[EpisodeSpec],
-    features: &[crate::schedule::EpisodeFeatures],
-    episode: F,
-) -> (Vec<Option<R>>, Vec<EpisodeFailure>, RunStats)
-where
-    R: Send,
-    F: Fn(&EpisodeSpec) -> R + Sync,
-{
-    use crate::schedule::{self, CostModel, Plan};
-    assert_eq!(specs.len(), features.len(), "one feature set per spec");
-    let plan = Plan::for_policy(schedule::policy(), features, &CostModel::from_telemetry());
-    run_plan(jobs, &plan, specs, episode)
-}
-
-/// Runs `specs` in `plan` order, timed, and returns [`RunStats`] carrying
-/// the run's [`SchedulerStats`](crate::schedule::SchedulerStats) for
-/// `results/bench_eval.json`.
-fn run_plan<R, F>(
-    jobs: usize,
-    plan: &crate::schedule::Plan,
-    specs: &[EpisodeSpec],
-    episode: F,
-) -> (Vec<Option<R>>, Vec<EpisodeFailure>, RunStats)
-where
-    R: Send,
-    F: Fn(&EpisodeSpec) -> R + Sync,
-{
-    use crate::schedule::{spearman, SchedulerStats};
     // Episodes are CPU-bound, so workers beyond the machine's parallelism
     // only add context-switch and cache-thrash overhead. Results are
     // jobs-invariant by construction, so the clamp is pure wall time.
     let hardware = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(usize::MAX);
     let jobs = resolve_jobs(jobs).min(hardware);
     let start = Instant::now();
-    let (results, failures, metrics) = run_planned_checked(jobs, plan, |i| episode(&specs[i]));
-    let rank_correlation = if plan.predicted.is_empty() {
-        0.0
-    } else {
-        spearman(&plan.predicted, &metrics.actual_us)
-    };
+    let (results, failures, barrier_idle_us) =
+        run_pool(jobs, specs.len(), |i| episode(&specs[i]));
     let stats = RunStats::new(specs.len(), start.elapsed())
         .with_failed(failures.len())
-        .with_scheduler(SchedulerStats {
-            policy: plan.policy.name(),
-            batches: plan.batches.len(),
-            coalesced: plan.coalesced(),
-            rank_correlation,
-            barrier_idle_us: metrics.barrier_idle_us,
+        .with_scheduler(crate::schedule::SchedulerStats {
+            batches: specs.len(),
+            barrier_idle_us,
         });
     (results, failures, stats)
 }
@@ -559,7 +487,7 @@ mod tests {
         assert_eq!(stats.episodes, 8);
         assert!(stats.seconds >= 0.0);
         let scheduler = stats.scheduler.expect("grid runs carry scheduler stats");
-        assert_eq!((scheduler.policy, scheduler.batches, scheduler.coalesced), ("grid", 8, 0));
+        assert_eq!(scheduler.batches, 8, "one claim per episode");
     }
 
     #[test]
@@ -607,13 +535,13 @@ mod tests {
         // status, a structured error) used to collapse to the blind
         // "non-string panic payload" — server logs need the value.
         let (results, failures, _) = quietly(|| {
-            run_planned_checked(2, &crate::schedule::Plan::grid(4), |i| {
-                match i {
+            run_episodes_checked(2, &episode_grid(1, 0, 4, 1), |s| {
+                match s.entry {
                     1 => std::panic::panic_any(42i32),
                     2 => std::panic::panic_any(Some("poisoned".to_owned())),
                     _ => {}
                 }
-                i
+                s.entry
             })
         });
         assert_eq!(results[0], Some(0));
@@ -660,68 +588,23 @@ mod tests {
     }
 
     #[test]
-    fn planned_executor_matches_serial_grid_under_every_plan() {
-        use crate::schedule::{CostModel, EpisodeFeatures, Plan};
+    fn pool_matches_serial_at_every_worker_count() {
         let work = |i: usize| (i as u64).wrapping_mul(0x9E37_79B9).rotate_left(i as u32 % 64);
-        let (expected, _, _) = run_planned_checked(1, &Plan::grid(120), work);
+        let (expected, _, idle) = run_pool(1, 120, work);
         assert_eq!(expected, (0..120).map(|i| Some(work(i))).collect::<Vec<_>>());
-        // Grid plan, LPT plan (with shared fingerprints so real batches
-        // form), at several job counts: identical results in index order.
-        let features: Vec<EpisodeFeatures> = (0..120)
-            .map(|i| EpisodeFeatures {
-                fingerprint: u128::from(i as u64 % 17),
-                source_len: (i * 31) % 700,
-                category: Some("syntax_error"),
-            })
-            .collect();
-        for plan in [Plan::grid(120), Plan::lpt(&features, &CostModel::static_only())] {
-            for jobs in [1, 2, 3, 8] {
-                let (results, failures, metrics) = run_planned_checked(jobs, &plan, work);
-                assert_eq!(results, expected, "policy {:?} jobs {jobs}", plan.policy);
-                assert!(failures.is_empty());
-                assert_eq!(metrics.actual_us.len(), 120);
-                if jobs == 1 {
-                    assert_eq!(metrics.barrier_idle_us, 0, "no barrier when serial");
-                }
-            }
+        assert_eq!(idle, 0, "no barrier when serial");
+        for jobs in [2, 3, 8] {
+            let (results, failures, _) = run_pool(jobs, 120, work);
+            assert_eq!(results, expected, "jobs {jobs}");
+            assert!(failures.is_empty());
         }
     }
 
     #[test]
-    fn planned_executor_contains_panics_by_original_index() {
-        use crate::schedule::{CostModel, EpisodeFeatures, Plan};
-        let features: Vec<EpisodeFeatures> = (0..20)
-            .map(|i| EpisodeFeatures {
-                fingerprint: u128::from(i as u64 / 2),
-                source_len: 0,
-                category: None,
-            })
-            .collect();
-        let plan = Plan::lpt(&features, &CostModel::static_only());
-        for jobs in [1, 3] {
-            let (results, failures, _) = quietly(|| {
-                run_planned_checked(jobs, &plan, |i| {
-                    if i == 7 || i == 13 {
-                        panic!("episode {i} fell over");
-                    }
-                    i * 2
-                })
-            });
-            assert_eq!(results.len(), 20, "jobs = {jobs}");
-            assert_eq!(results[6], Some(12));
-            assert_eq!(results[7], None);
-            assert_eq!(results[13], None);
-            let indices: Vec<usize> = failures.iter().map(|f| f.index).collect();
-            assert_eq!(indices, vec![7, 13], "failures stay in index order, jobs = {jobs}");
-        }
-    }
-
-    #[test]
-    fn planned_telemetry_merges_identically_to_the_serial_grid() {
+    fn pool_telemetry_merges_identically_to_the_serial_run() {
         // The registry aggregate must be a pure function of the episode
-        // set under every plan: per-episode telemetry merges at the
-        // barrier in index order regardless of claim order.
-        use crate::schedule::{CostModel, EpisodeFeatures, Plan};
+        // set: per-episode telemetry merges at the barrier in index order
+        // regardless of which worker claimed what.
         rtlfixer_obs::set_telemetry(true);
         let work = |i: usize| {
             rtlfixer_obs::counter_add("test.sched.episodes", 1);
@@ -744,23 +627,14 @@ mod tests {
             (counters, hists)
         };
         rtlfixer_obs::reset();
-        let _ = run_planned_checked(1, &Plan::grid(30), work);
+        let _ = run_pool(1, 30, work);
         let serial = ours(&rtlfixer_obs::snapshot());
         assert!(serial.0.iter().any(|(k, v)| k == "test.sched.episodes" && *v == 30), "{serial:?}");
-        let features: Vec<EpisodeFeatures> = (0..30)
-            .map(|i| EpisodeFeatures {
-                fingerprint: u128::from(i as u64 % 5),
-                source_len: i,
-                category: Some("width_mismatch"),
-            })
-            .collect();
-        for plan in [Plan::grid(30), Plan::lpt(&features, &CostModel::static_only())] {
-            for jobs in [1, 2, 4] {
-                rtlfixer_obs::reset();
-                let _ = run_planned_checked(jobs, &plan, work);
-                let got = ours(&rtlfixer_obs::snapshot());
-                assert_eq!(got, serial, "policy {:?} jobs {jobs}", plan.policy);
-            }
+        for jobs in [2, 4] {
+            rtlfixer_obs::reset();
+            let _ = run_pool(jobs, 30, work);
+            let got = ours(&rtlfixer_obs::snapshot());
+            assert_eq!(got, serial, "jobs {jobs}");
         }
         rtlfixer_obs::set_telemetry(false);
         rtlfixer_obs::reset();
@@ -769,33 +643,20 @@ mod tests {
     #[test]
     fn run_stats_accumulate_folds_scheduler_metadata() {
         use crate::schedule::SchedulerStats;
-        let mut total = RunStats::new(10, Duration::from_secs(1)).with_scheduler(SchedulerStats {
-            policy: "lpt",
-            batches: 4,
-            coalesced: 6,
-            rank_correlation: 1.0,
-            barrier_idle_us: 10,
-        });
-        let other = RunStats::new(30, Duration::from_secs(3)).with_scheduler(SchedulerStats {
-            policy: "lpt",
-            batches: 10,
-            coalesced: 20,
-            rank_correlation: 0.0,
-            barrier_idle_us: 30,
-        });
+        let mut total = RunStats::new(10, Duration::from_secs(1))
+            .with_scheduler(SchedulerStats { batches: 10, barrier_idle_us: 10 });
+        let other = RunStats::new(30, Duration::from_secs(3))
+            .with_scheduler(SchedulerStats { batches: 30, barrier_idle_us: 30 });
         total.accumulate(&other);
         assert_eq!(total.episodes, 40);
         assert!((total.seconds - 4.0).abs() < 1e-12);
         assert!((total.episodes_per_sec - 10.0).abs() < 1e-12);
         let sched = total.scheduler.expect("merged scheduler stats");
-        assert_eq!(sched.batches, 14);
-        assert_eq!(sched.coalesced, 26);
-        assert_eq!(sched.barrier_idle_us, 40);
-        assert!((sched.rank_correlation - 0.25).abs() < 1e-12, "{sched:?}");
+        assert_eq!((sched.batches, sched.barrier_idle_us), (40, 40));
         // Folding into a scheduler-less total adopts the other side's stats.
         let mut bare = RunStats::new(5, Duration::from_secs(1));
         bare.accumulate(&other);
-        assert_eq!(bare.scheduler.expect("adopted").batches, 10);
+        assert_eq!(bare.scheduler.expect("adopted").batches, 30);
     }
 
     #[test]

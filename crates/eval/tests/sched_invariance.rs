@@ -1,56 +1,42 @@
 //! Scheduling invariance: episode results are a pure function of the spec,
-//! so the scheduler may only change *when* an episode runs — never its
-//! verdict. The LPT plan, every worker count, and the sharded
-//! multi-process path must all reproduce the serial grid-order run's
-//! verdict fingerprint bit-for-bit. If any point of the matrix
-//! moves, the scheduler changed results, which is a correctness bug — not
-//! a baseline to re-record.
-
-use std::sync::Mutex;
+//! so the pool may only change *when* an episode runs — never its verdict.
+//! Every worker count and the sharded multi-process path must reproduce
+//! the serial run's verdict fingerprint bit-for-bit. If any point of the
+//! matrix moves, the executor changed results, which is a correctness bug
+//! — not a baseline to re-record.
 
 use rtlfixer_eval::experiments::table1::{
     merge_table1_verdicts, table1_merged, table1_verdicts, FixRateConfig,
 };
-use rtlfixer_eval::{schedule, Policy, Shard};
-
-/// `force_policy` is process-global; tests driving it must not overlap.
-static POLICY_LOCK: Mutex<()> = Mutex::new(());
+use rtlfixer_eval::Shard;
 
 fn quick_config(jobs: usize) -> FixRateConfig {
     FixRateConfig { max_entries: Some(8), repeats: 2, jobs, ..Default::default() }
 }
 
-/// The `--quick`-shaped grid's verdict fingerprint and fix-rate bits under
-/// one policy/jobs point.
-fn grid_outputs(policy: Policy, jobs: usize) -> (u128, Vec<u64>) {
-    schedule::force_policy(Some(policy));
+/// The `--quick`-shaped grid's verdict fingerprint and fix-rate bits at
+/// one worker count.
+fn grid_outputs(jobs: usize) -> (u128, Vec<u64>) {
     let merged = table1_merged(&quick_config(jobs));
-    schedule::force_policy(None);
     let rates = merged.cells.iter().map(|cell| cell.fix_rate.to_bits()).collect();
     (merged.verdict_fingerprint, rates)
 }
 
 #[test]
-fn every_policy_and_worker_count_reproduces_the_serial_grid_verdicts() {
-    let _guard = POLICY_LOCK.lock().unwrap();
-    // Reference semantics: no reordering, no coalescing, serial.
-    let reference = grid_outputs(Policy::Grid, 1);
+fn every_worker_count_reproduces_the_serial_verdicts() {
+    let reference = grid_outputs(1);
     assert_ne!(reference.0, 0, "degenerate fingerprint");
-    for policy in [Policy::Grid, Policy::Lpt] {
-        for jobs in [1, 4] {
-            let measured = grid_outputs(policy, jobs);
-            assert_eq!(
-                measured, reference,
-                "verdicts diverged from the serial grid run at {policy:?} --jobs {jobs}"
-            );
-        }
+    for jobs in [2, 4] {
+        assert_eq!(
+            grid_outputs(jobs),
+            reference,
+            "verdicts diverged from the serial run at --jobs {jobs}"
+        );
     }
 }
 
 #[test]
 fn sharded_halves_merge_to_the_unsharded_fingerprint() {
-    let _guard = POLICY_LOCK.lock().unwrap();
-    schedule::force_policy(Some(Policy::Lpt));
     let config = quick_config(4);
     let unsharded = table1_merged(&config);
     // Two half-shards, run as separate grids (as two processes would),
@@ -59,7 +45,6 @@ fn sharded_halves_merge_to_the_unsharded_fingerprint() {
         .map(|index| table1_verdicts(&config, Shard { index, count: 2 }))
         .collect();
     let merged = merge_table1_verdicts(&config, &halves).expect("complete partition");
-    schedule::force_policy(None);
     assert_eq!(
         merged.verdict_fingerprint, unsharded.verdict_fingerprint,
         "sharded merge fingerprint diverged from the unsharded run"
