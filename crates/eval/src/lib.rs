@@ -5,9 +5,9 @@
 //! * [`metrics`] — the paper's Eq. 1 (fix rate) and Eq. 2 (unbiased
 //!   pass@k).
 //! * [`runner`] — the deterministic parallel episode-execution engine all
-//!   experiments run on: one executor claiming episodes in grid order plus
-//!   the canonical per-episode seed derivation, guaranteeing results are
-//!   bit-identical for any `--jobs` value.
+//!   experiments run on: one executor claiming each entry's repeats in grid
+//!   order plus the canonical per-episode seed derivation, guaranteeing
+//!   results are bit-identical for any `--jobs` value.
 //! * [`schedule`] — [`schedule::Shard`] partitions grids for deterministic
 //!   multi-process runs (`--shard i/n` + `merge-shards`), and
 //!   [`schedule::SchedulerStats`] is the pool metadata runs record.

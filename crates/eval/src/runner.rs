@@ -12,10 +12,11 @@
 //! * [`episode_grid`] — the flattened entries × repeats grid most
 //!   experiments execute.
 //! * [`run_episodes_checked`] — the one episode executor: a thread pool
-//!   whose workers claim episodes from an atomic cursor in grid order,
-//!   contain per-episode panics as structured [`EpisodeFailure`]s, and
-//!   reassemble results in index order so parallel runs are byte-identical
-//!   to `jobs = 1`. It returns wall-clock [`RunStats`];
+//!   whose workers claim each entry's run of repeats from an atomic cursor
+//!   in grid order, contain per-episode panics as structured
+//!   [`EpisodeFailure`]s, and reassemble results in index order so
+//!   parallel runs are byte-identical to `jobs = 1`. It returns wall-clock
+//!   [`RunStats`];
 //!   [`run_episodes`] is the same run with panics propagated.
 //!
 //! # Seed namespace
@@ -108,29 +109,42 @@ pub fn panic_message(payload: Box<dyn Any + Send>) -> String {
     format!("non-string panic payload ({:?})", (*payload).type_id())
 }
 
-/// Runs `task(0..len)` on `jobs` workers that claim indices from a shared
-/// cursor in ascending order, then flush results through one lock per
-/// worker. [`run_episodes_checked`] clamps `jobs` to the hardware
-/// (oversubscribed, time-sliced workers only add overhead); this function
-/// honours the count it is given so tests can exercise specific worker
-/// configurations.
+/// Runs `task(0..len)` on `jobs` workers that claim *runs* of indices from
+/// a shared cursor in ascending order, then flush results through one lock
+/// per worker. Run `k` covers `starts[k]..starts[k + 1]` (the last run ends
+/// at `len`); `starts` must be ascending and begin at `0` when `len > 0`.
+/// [`run_episodes_checked`] passes the starts of each entry's consecutive
+/// repeats, so one worker runs all of them and the repeats after the first
+/// hit the artifact caches the first one filled, instead of two workers
+/// computing the same cold miss at once. [`run_episodes_checked`] also
+/// clamps `jobs` to the hardware (oversubscribed, time-sliced workers only
+/// add overhead); this function honours the count it is given so tests can
+/// exercise specific worker configurations.
 ///
 /// A panicking task yields a structured [`EpisodeFailure`] (and a `None`
 /// result slot) instead of aborting the pool — one poisoned episode cannot
-/// sink a whole grid. Each task runs inside an observability episode
-/// capture, so whatever it records lands in a worker-local buffer. Results
-/// land in slots by index, and the captures merge into the registry at the
-/// barrier in index order, so outputs and telemetry are bit-identical for
-/// every `jobs` value. Failures are returned in index order, followed by
-/// the total wall time workers spent idle at the barrier (their own claims
-/// done, other workers still running), in microseconds — always `0` on the
-/// serial path, which has no barrier.
-fn run_pool<R, F>(jobs: usize, len: usize, task: F) -> (Vec<Option<R>>, Vec<EpisodeFailure>, u64)
+/// sink a whole grid, nor the rest of its run. Each task runs inside an
+/// observability episode capture, so whatever it records lands in a
+/// worker-local buffer. Results land in slots by index, and the captures
+/// merge into the registry at the barrier in index order, so outputs and
+/// telemetry are bit-identical for every `jobs` value and every run split.
+/// Failures are returned in index order, followed by the total wall time
+/// workers spent idle at the barrier (their own claims done, other workers
+/// still running), in microseconds — always `0` on the serial path, which
+/// has no barrier.
+fn run_pool<R, F>(
+    jobs: usize,
+    len: usize,
+    starts: &[usize],
+    task: F,
+) -> (Vec<Option<R>>, Vec<EpisodeFailure>, u64)
 where
     R: Send,
     F: Fn(usize) -> R + Sync,
 {
-    let jobs = resolve_jobs(jobs).min(len.max(1));
+    debug_assert!(len == 0 || starts.first() == Some(&0), "runs must start at index 0");
+    debug_assert!(starts.windows(2).all(|w| w[0] < w[1]), "run starts must ascend");
+    let jobs = resolve_jobs(jobs).min(starts.len().max(1));
     let run_one = |index: usize| {
         rtlfixer_obs::episode_begin();
         let result = catch_unwind(AssertUnwindSafe(|| task(index)));
@@ -159,11 +173,10 @@ where
                 scope.spawn(move || {
                     let mut local: Vec<(usize, Slot<R>)> = Vec::new();
                     loop {
-                        let index = cursor.fetch_add(1, Ordering::Relaxed);
-                        if index >= len {
-                            break;
-                        }
-                        local.push((index, run_one(index)));
+                        let run = cursor.fetch_add(1, Ordering::Relaxed);
+                        let Some(&start) = starts.get(run) else { break };
+                        let end = starts.get(run + 1).copied().unwrap_or(len);
+                        local.extend((start..end).map(|index| (index, run_one(index))));
                     }
                     // The worker is done before it queues for the flush
                     // locks, so lock contention does not count as idle.
@@ -398,6 +411,10 @@ where
 /// and the failure count lands in [`RunStats::failed_episodes`]. The stats
 /// carry the run's [`SchedulerStats`](crate::schedule::SchedulerStats) for
 /// `results/bench_eval.json`.
+///
+/// Workers claim each run of consecutive specs with the same `(cell,
+/// entry)` whole — an entry's repeats in an [`episode_grid`], or the part
+/// of them a [`Shard`](crate::schedule::Shard) stripe keeps.
 pub fn run_episodes_checked<R, F>(
     jobs: usize,
     specs: &[EpisodeSpec],
@@ -412,13 +429,18 @@ where
     // jobs-invariant by construction, so the clamp is pure wall time.
     let hardware = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(usize::MAX);
     let jobs = resolve_jobs(jobs).min(hardware);
+    let starts: Vec<usize> = (0..specs.len())
+        .filter(|&i| {
+            i == 0 || (specs[i].cell, specs[i].entry) != (specs[i - 1].cell, specs[i - 1].entry)
+        })
+        .collect();
     let start = Instant::now();
     let (results, failures, barrier_idle_us) =
-        run_pool(jobs, specs.len(), |i| episode(&specs[i]));
+        run_pool(jobs, specs.len(), &starts, |i| episode(&specs[i]));
     let stats = RunStats::new(specs.len(), start.elapsed())
         .with_failed(failures.len())
         .with_scheduler(crate::schedule::SchedulerStats {
-            batches: specs.len(),
+            batches: starts.len(),
             barrier_idle_us,
         });
     (results, failures, stats)
@@ -487,7 +509,25 @@ mod tests {
         assert_eq!(stats.episodes, 8);
         assert!(stats.seconds >= 0.0);
         let scheduler = stats.scheduler.expect("grid runs carry scheduler stats");
-        assert_eq!(scheduler.batches, 8, "one claim per episode");
+        assert_eq!(scheduler.batches, 4, "one claim per entry's run of repeats");
+    }
+
+    #[test]
+    fn claims_follow_runs_of_one_entry() {
+        // A shard stripe of a 3 × 4 grid keeps repeats 0 and 2 of each
+        // entry: still one run per entry. Specs of another cell start a new
+        // run even at the same entry index.
+        let grid = episode_grid(1, 0, 3, 4);
+        let stripe = crate::schedule::Shard { index: 0, count: 2 }.indices(grid.len());
+        let mut specs: Vec<EpisodeSpec> = stripe.iter().map(|&p| grid[p]).collect();
+        assert_eq!(specs.len(), 6);
+        let (_, stats) = run_episodes(2, &specs, |s| s.seed);
+        assert_eq!(stats.scheduler.expect("scheduler block").batches, 3);
+        specs.extend(episode_grid(1, 1, 1, 2));
+        let (results, stats) = run_episodes(2, &specs, |s| (s.cell, s.entry, s.repeat));
+        assert_eq!(stats.scheduler.expect("scheduler block").batches, 4);
+        let expected: Vec<_> = specs.iter().map(|s| (s.cell, s.entry, s.repeat)).collect();
+        assert_eq!(results, expected);
     }
 
     #[test]
@@ -529,19 +569,48 @@ mod tests {
         }
     }
 
+    /// One claim per index: the run split with no grouping.
+    fn singles(len: usize) -> Vec<usize> {
+        (0..len).collect()
+    }
+
+    #[test]
+    fn pool_contains_panics_by_original_index() {
+        // The multi-worker branch, unclamped: three workers, with panics
+        // both as single claims and in the middle of multi-index runs.
+        for starts in [singles(20), vec![0, 4, 8, 12, 16], vec![0, 3, 7, 8, 14, 19]] {
+            let (results, failures, _) = quietly(|| {
+                run_pool(3, 20, &starts, |i| {
+                    if i == 7 || i == 13 {
+                        panic!("task {i} fell over");
+                    }
+                    i * 2
+                })
+            });
+            assert_eq!(results.len(), 20, "{starts:?}");
+            assert_eq!(results[6], Some(12), "{starts:?}");
+            assert_eq!((results[7], results[13]), (None, None), "{starts:?}");
+            assert_eq!(results[8], Some(16), "the rest of a run survives its panic");
+            assert_eq!(results.iter().filter(|r| r.is_some()).count(), 18, "{starts:?}");
+            let indices: Vec<usize> = failures.iter().map(|f| f.index).collect();
+            assert_eq!(indices, vec![7, 13], "{starts:?}");
+            assert!(failures[1].message.contains("task 13 fell over"));
+        }
+    }
+
     #[test]
     fn non_string_panic_payloads_render_debug() {
         // Regression: `panic_any` with a typed payload (an errno, an exit
         // status, a structured error) used to collapse to the blind
         // "non-string panic payload" — server logs need the value.
         let (results, failures, _) = quietly(|| {
-            run_episodes_checked(2, &episode_grid(1, 0, 4, 1), |s| {
-                match s.entry {
+            run_pool(2, 4, &singles(4), |i| {
+                match i {
                     1 => std::panic::panic_any(42i32),
                     2 => std::panic::panic_any(Some("poisoned".to_owned())),
                     _ => {}
                 }
-                s.entry
+                i
             })
         });
         assert_eq!(results[0], Some(0));
@@ -590,13 +659,17 @@ mod tests {
     #[test]
     fn pool_matches_serial_at_every_worker_count() {
         let work = |i: usize| (i as u64).wrapping_mul(0x9E37_79B9).rotate_left(i as u32 % 64);
-        let (expected, _, idle) = run_pool(1, 120, work);
+        let (expected, _, idle) = run_pool(1, 120, &singles(120), work);
         assert_eq!(expected, (0..120).map(|i| Some(work(i))).collect::<Vec<_>>());
         assert_eq!(idle, 0, "no barrier when serial");
-        for jobs in [2, 3, 8] {
-            let (results, failures, _) = run_pool(jobs, 120, work);
-            assert_eq!(results, expected, "jobs {jobs}");
-            assert!(failures.is_empty());
+        let runs_of_ten: Vec<usize> = (0..120).step_by(10).collect();
+        let uneven = vec![0, 1, 2, 17, 40, 41, 90, 119];
+        for starts in [singles(120), runs_of_ten, uneven] {
+            for jobs in [2, 3, 8] {
+                let (results, failures, _) = run_pool(jobs, 120, &starts, work);
+                assert_eq!(results, expected, "jobs {jobs}, starts {starts:?}");
+                assert!(failures.is_empty());
+            }
         }
     }
 
@@ -627,14 +700,16 @@ mod tests {
             (counters, hists)
         };
         rtlfixer_obs::reset();
-        let _ = run_pool(1, 30, work);
+        let _ = run_pool(1, 30, &singles(30), work);
         let serial = ours(&rtlfixer_obs::snapshot());
         assert!(serial.0.iter().any(|(k, v)| k == "test.sched.episodes" && *v == 30), "{serial:?}");
-        for jobs in [2, 4] {
-            rtlfixer_obs::reset();
-            let _ = run_pool(jobs, 30, work);
-            let got = ours(&rtlfixer_obs::snapshot());
-            assert_eq!(got, serial, "jobs {jobs}");
+        for starts in [singles(30), vec![0, 5, 6, 20, 29]] {
+            for jobs in [2, 4] {
+                rtlfixer_obs::reset();
+                let _ = run_pool(jobs, 30, &starts, work);
+                let got = ours(&rtlfixer_obs::snapshot());
+                assert_eq!(got, serial, "jobs {jobs}, starts {starts:?}");
+            }
         }
         rtlfixer_obs::set_telemetry(false);
         rtlfixer_obs::reset();

@@ -82,8 +82,9 @@ impl std::fmt::Display for Shard {
 /// stays `Copy`.
 #[derive(Debug, Clone, Copy, serde::Serialize)]
 pub struct SchedulerStats {
-    /// Tasks claimed from the pool's cursor: one per episode (one per
-    /// problem on the pass@k grids, whose samples run inside one task).
+    /// Runs claimed from the pool's cursor: one per entry's consecutive
+    /// repeats (one per problem on the pass@k grids, whose samples run
+    /// inside one task).
     pub batches: usize,
     /// Total wall time workers spent idle at the pool barrier (their last
     /// task done, other workers still running), in microseconds.
