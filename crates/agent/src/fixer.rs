@@ -350,10 +350,7 @@ impl<L: LanguageModel> RtlFixer<L> {
                         // the rank of the first trustworthy hit (exact, or
                         // category-confirmed by the feedback layer).
                         for hit in &hits {
-                            obs::counter_add(
-                                &format!("rag.hits.{}", hit.evidence.slug()),
-                                1,
-                            );
+                            obs::counter_add(hit.evidence.counter(), 1);
                         }
                         if let Some(depth) = hits.iter().position(|h| {
                             h.exact || query.identified.contains(&h.entry.category.0)
@@ -507,14 +504,16 @@ impl<L: LanguageModel> RtlFixer<L> {
         }
         let episode_us = episode_start
             .map(|start| u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX));
-        for category in &initial_categories {
-            obs::counter_add(&format!("agent.episodes.by_category.{category}"), 1);
-            obs::counter_add(
-                &format!("agent.revisions.by_category.{category}"),
-                revisions as u64,
-            );
-            if let Some(us) = episode_us {
-                obs::observe(&format!("span.episode.by_category.{category}.us"), us);
+        if obs::enabled() {
+            for category in &initial_categories {
+                obs::counter_add(&format!("agent.episodes.by_category.{category}"), 1);
+                obs::counter_add(
+                    &format!("agent.revisions.by_category.{category}"),
+                    revisions as u64,
+                );
+                if let Some(us) = episode_us {
+                    obs::observe(&format!("span.episode.by_category.{category}.us"), us);
+                }
             }
         }
 

@@ -10,9 +10,11 @@ use rtlfixer_compilers::CompilerKind;
 use rtlfixer_llm::{Capability, SimulatedLlm};
 use rtlfixer_rag::text::TfIdfIndex;
 use rtlfixer_rag::{
-    tfidf_corpus, DefaultRetriever, GuidanceDatabase, RetrievalQuery, Retriever, TfIdfRetriever,
+    tfidf_corpus, DefaultRetriever, GuidanceDatabase, HybridRetriever, RetrievalQuery, Retriever,
+    TfIdfRetriever,
 };
 use rtlfixer_sim::{value::LogicVec, Simulator};
+use rtlfixer_verilog::diag::ErrorCategory;
 
 const COUNTER: &str = "module ctr(input clk, input reset, output reg [7:0] q);\n\
                        always @(posedge clk) begin\n\
@@ -115,9 +117,10 @@ fn bench_retrieval(c: &mut Criterion) {
         b.iter(|| retriever.retrieve(black_box(&iv_db), black_box(&iv_query)))
     });
 
-    // Before/after datapoint for the shared-index cache: the old
-    // TfIdfRetriever rebuilt the index on every retrieve; the cached path
-    // looks it up by database fingerprint.
+    // Index build vs. query: `cold` rebuilds the index per call (its build
+    // cost), `cached` looks it up by database fingerprint and scores the
+    // query once against the interned vectors. `rag/hybrid_retrieve` below
+    // is the production default retriever on the same cached index.
     let tfidf = TfIdfRetriever::new();
     let tfidf_query = RetrievalQuery::from_log(
         "Error (10170): Verilog HDL syntax error at main.sv(3) near text \"endmodule\"",
@@ -132,6 +135,18 @@ fn bench_retrieval(c: &mut Criterion) {
     let _ = tfidf.retrieve(&db, &tfidf_query);
     c.bench_function("rag/tfidf_cached_index", |b| {
         b.iter(|| tfidf.retrieve(black_box(&db), black_box(&tfidf_query)))
+    });
+
+    // One tagged Quartus log and one tagless iverilog log carrying the
+    // categories the feedback layer identified, as the repair loop sends.
+    let hybrid = HybridRetriever::new();
+    let iv_identified = RetrievalQuery::from_log(iv_query.log.clone())
+        .with_identified(vec![ErrorCategory::UndeclaredIdentifier]);
+    c.bench_function("rag/hybrid_retrieve", |b| {
+        b.iter(|| {
+            black_box(hybrid.retrieve(black_box(&db), black_box(&query)));
+            black_box(hybrid.retrieve(black_box(&iv_db), black_box(&iv_identified)))
+        })
     });
 }
 

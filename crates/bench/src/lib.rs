@@ -284,6 +284,7 @@ pub fn record_run_with(
     let faults = serde_json::Value::from_serialize(&rtlfixer_faults::fault_report());
     let mut entry = serde_json::json!({
         "jobs": rtlfixer_eval::resolve_jobs(jobs),
+        "cores": std::thread::available_parallelism().map_or(1, |n| n.get()),
         "episodes": stats.episodes,
         "failed_episodes": stats.failed_episodes,
         "wall_seconds": stats.seconds,

@@ -33,6 +33,7 @@ fn table1_quick_parallel_smoke() {
     let json: serde_json::Value = serde_json::from_str(&text).expect("valid JSON");
     let entry = &json["table1"];
     assert_eq!(entry["jobs"].as_u64(), Some(2), "{text}");
+    assert!(entry["cores"].as_u64().unwrap_or(0) >= 1, "{text}");
     assert!(entry["episodes"].as_u64().unwrap_or(0) > 0, "{text}");
     assert!(entry["episodes_per_sec"].as_f64().unwrap_or(0.0) > 0.0, "{text}");
     // The entry carries the artifact-cache snapshot alongside throughput.

@@ -233,22 +233,38 @@ fn entry(
 }
 
 impl GuidanceDatabase {
-    /// A content fingerprint (FNV-1a over edition and entry texts), used to
-    /// key per-database caches such as the shared TF-IDF index.
+    /// A content fingerprint over edition and entry texts, used to key
+    /// per-database caches such as the shared TF-IDF index. It runs on
+    /// every retrieval, so it hashes 16 bytes per round (the wyhash folded
+    /// multiply) with a splitmix64 finaliser. A field's last round reads
+    /// its final bytes in place, overlapping the previous block, and
+    /// absorbs the field's length, so the same bytes split differently
+    /// across fields hash differently.
     ///
     /// Two databases with equal contents always fingerprint equally; a
     /// collision between *different* databases would only make a retrieval
     /// cache serve a wrong (but well-formed) index, and is astronomically
     /// unlikely at the handful of databases a process ever builds.
     pub fn fingerprint(&self) -> u64 {
-        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        const P0: u64 = 0xa076_1d64_78bd_642f;
+        const P1: u64 = 0xe703_7ed1_a0b4_28db;
+        let fold = |a: u64, b: u64| {
+            let product = u128::from(a) * u128::from(b);
+            (product as u64) ^ ((product >> 64) as u64)
+        };
+        let word = |bytes: &[u8]| u64::from_le_bytes(bytes.try_into().expect("8-byte word"));
+        let mut hash = P1;
         let mut eat = |bytes: &[u8]| {
-            for &b in bytes {
-                hash ^= u64::from(b);
-                hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
+            let n = bytes.len();
+            for block in bytes.chunks_exact(16) {
+                hash = fold(word(&block[..8]) ^ P0, word(&block[8..]) ^ hash);
             }
-            hash ^= 0xff;
-            hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
+            let (a, b) = match n {
+                16.. => (word(&bytes[n - 16..n - 8]), word(&bytes[n - 8..])),
+                8.. => (word(&bytes[..8]), word(&bytes[n - 8..])),
+                _ => (bytes.iter().rev().fold(0, |w, &byte| w << 8 | u64::from(byte)), 0),
+            };
+            hash = fold(a ^ P0, b ^ hash ^ n as u64);
         };
         eat(match self.edition {
             DatabaseEdition::Iverilog => b"iverilog",
@@ -262,11 +278,16 @@ impl GuidanceDatabase {
             eat(entry.guidance.as_bytes());
             eat(entry.demonstration.as_deref().unwrap_or("").as_bytes());
             eat(entry.grammar_hint.as_bytes());
+            eat(&entry.anti_patterns.len().to_le_bytes());
             for pattern in &entry.anti_patterns {
                 eat(pattern.as_bytes());
             }
         }
-        hash
+        hash ^= hash >> 30;
+        hash = hash.wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        hash ^= hash >> 27;
+        hash = hash.wrapping_mul(0x94D0_49BB_1331_11EB);
+        hash ^ (hash >> 31)
     }
 
     /// The process-wide shared Quartus database.

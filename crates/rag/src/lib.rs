@@ -42,5 +42,5 @@ pub use distill::{
 pub use retriever::{
     hybrid_enabled, shared_tfidf_index, tfidf_corpus, DefaultRetriever, Evidence,
     ExactTagRetriever, HybridRetriever, JaccardRetriever, Retrieved, RetrievalQuery, Retriever,
-    TfIdfRetriever,
+    TfIdfRetriever, TFIDF_CACHE_CAPACITY,
 };

@@ -15,8 +15,7 @@
 //! * [`TfIdfRetriever`] — cosine similarity over a TF-IDF index, the
 //!   "vector database" stand-in.
 
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 
 use rtlfixer_verilog::diag::ErrorCategory;
 
@@ -110,13 +109,13 @@ pub enum Evidence {
 }
 
 impl Evidence {
-    /// Stable slug for counters and reports.
-    pub fn slug(self) -> &'static str {
+    /// Name of the telemetry counter a hit with this evidence increments.
+    pub fn counter(self) -> &'static str {
         match self {
-            Evidence::Exact => "exact",
-            Evidence::Category => "category",
-            Evidence::Lexical => "lexical",
-            Evidence::Distilled => "distilled",
+            Evidence::Exact => "rag.hits.exact",
+            Evidence::Category => "rag.hits.category",
+            Evidence::Lexical => "rag.hits.lexical",
+            Evidence::Distilled => "rag.hits.distilled",
         }
     }
 }
@@ -284,6 +283,12 @@ pub fn tfidf_corpus(db: &GuidanceDatabase) -> Vec<String> {
         .collect()
 }
 
+/// Capacity of the [`shared_tfidf_index`] cache. The batch working set is
+/// the two shared editions plus the four truncated databases of the
+/// database-size ablation; the rest is headroom for a long-lived daemon,
+/// whose every distilled generation is a new merged database.
+pub const TFIDF_CACHE_CAPACITY: usize = 16;
+
 /// Returns the process-wide shared TF-IDF index for `db`, building it on
 /// first use.
 ///
@@ -292,24 +297,35 @@ pub fn tfidf_corpus(db: &GuidanceDatabase) -> Vec<String> {
 /// issues one retrieval per compile failure. The cache is keyed by
 /// [`GuidanceDatabase::fingerprint`], so equal-content databases (clones,
 /// the shared editions, truncated ablation copies) share one immutable
-/// index across threads.
+/// index across threads. It holds at most [`TFIDF_CACHE_CAPACITY`]
+/// indexes and evicts the least recently used; an index is a pure
+/// function of content, so eviction can only cost a rebuild.
 pub fn shared_tfidf_index(db: &GuidanceDatabase) -> Arc<TfIdfIndex> {
-    static CACHE: OnceLock<Mutex<HashMap<u64, Arc<TfIdfIndex>>>> = OnceLock::new();
-    let cache = CACHE.get_or_init(|| Mutex::new(HashMap::new()));
+    // Oldest first: a hit moves its slot to the back, eviction pops the
+    // front.
+    static CACHE: Mutex<Vec<(u64, Arc<TfIdfIndex>)>> = Mutex::new(Vec::new());
     let key = db.fingerprint();
-    if let Some(hit) = cache.lock().expect("tfidf cache lock").get(&key) {
-        return Arc::clone(hit);
+    let lookup = |cache: &mut Vec<(u64, Arc<TfIdfIndex>)>| {
+        let slot = cache.iter().position(|(k, _)| *k == key)?;
+        cache[slot..].rotate_left(1);
+        cache.last().map(|(_, index)| Arc::clone(index))
+    };
+    if let Some(hit) = lookup(&mut CACHE.lock().expect("tfidf cache lock")) {
+        return hit;
     }
     // Build outside the lock so concurrent first-queries of *different*
     // databases don't serialise; a racing duplicate build of the same
-    // database is harmless (last insert wins, both results are identical).
+    // database is harmless (the first insert wins, both are identical).
     let index = Arc::new(TfIdfIndex::new(&tfidf_corpus(db)));
-    cache
-        .lock()
-        .expect("tfidf cache lock")
-        .entry(key)
-        .or_insert(index)
-        .clone()
+    let mut cache = CACHE.lock().expect("tfidf cache lock");
+    if let Some(hit) = lookup(&mut cache) {
+        return hit;
+    }
+    if cache.len() >= TFIDF_CACHE_CAPACITY {
+        cache.remove(0);
+    }
+    cache.push((key, Arc::clone(&index)));
+    index
 }
 
 impl Retriever for TfIdfRetriever {
@@ -396,11 +412,7 @@ impl Retriever for HybridRetriever {
         let tags = query.tags();
         // One ranked pass over the whole database; the shared index makes
         // the lexical leg a lookup, not a rebuild.
-        let index = shared_tfidf_index(db);
-        let mut cosine = vec![0.0f64; db.entries.len()];
-        for (i, score) in index.top_k(&query.log, db.entries.len()) {
-            cosine[i] = score;
-        }
+        let cosine = shared_tfidf_index(db).scores(&query.log);
         struct Candidate<'a> {
             hit: Retrieved<'a>,
             tag_rank: usize,

@@ -1,7 +1,7 @@
 //! Text utilities shared by the retrievers and (via this crate) the dataset
 //! curation pipeline: tokenisation, Jaccard similarity and TF-IDF cosine.
 
-use std::collections::{BTreeMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 
 /// Splits text into lowercase alphanumeric tokens; numbers survive as
 /// tokens so error tags like `10161` are matchable.
@@ -55,13 +55,31 @@ pub fn jaccard_distance(a: &str, b: &str) -> f64 {
 /// A small TF-IDF vector index over a fixed corpus, with cosine-similarity
 /// queries — the "similarity search with a vector database" retriever
 /// option the paper mentions in §3.3.
+///
+/// The vocabulary is interned at build time with term ids given in
+/// lexicographic order, so ascending id order *is* ascending term order.
+/// Every sum (dot product and both norms) runs in that order through
+/// `Iterator::sum`, which keeps the last float bits of every score
+/// identical across index instances and process runs.
 #[derive(Debug, Clone)]
 pub struct TfIdfIndex {
-    /// Per-document term-frequency vectors (L2-normalised lazily).
-    /// Ordered maps keep summation order — and so the last float bits of
-    /// every score — identical across index instances and process runs.
-    docs: Vec<BTreeMap<String, f64>>,
-    idf: BTreeMap<String, f64>,
+    /// Term → id, for lookups only: a `HashMap` has no stable order, so
+    /// nothing ever iterates it.
+    vocab: HashMap<String, u32>,
+    /// Inverse document frequency by term id.
+    idf: Vec<f64>,
+    /// Per-document TF-IDF weights, sorted by term id.
+    docs: Vec<Vec<(u32, f64)>>,
+    /// Per-document L2 norm.
+    norms: Vec<f64>,
+}
+
+/// A query vectorised against one index: in-vocabulary terms by ascending
+/// id, plus the L2 norm over *all* query terms (out-of-vocabulary terms
+/// carry idf 1 and only ever count towards the norm).
+struct QueryVector {
+    terms: Vec<(u32, f64)>,
+    norm: f64,
 }
 
 impl TfIdfIndex {
@@ -81,22 +99,27 @@ impl TfIdfIndex {
             }
             raw_docs.push(tf);
         }
-        let idf: BTreeMap<String, f64> = doc_freq
-            .into_iter()
-            .map(|(term, df)| (term, (n / (1.0 + df as f64)).ln() + 1.0))
-            .collect();
-        let docs = raw_docs
+        let mut vocab = HashMap::with_capacity(doc_freq.len());
+        let mut idf = Vec::with_capacity(doc_freq.len());
+        for (id, (term, df)) in doc_freq.into_iter().enumerate() {
+            let id = u32::try_from(id).expect("vocabulary fits u32 ids");
+            vocab.insert(term, id);
+            idf.push((n / (1.0 + df as f64)).ln() + 1.0);
+        }
+        // Each `tf` iterates in term order, which is id order.
+        let docs: Vec<Vec<(u32, f64)>> = raw_docs
             .into_iter()
             .map(|tf| {
                 tf.into_iter()
                     .map(|(term, count)| {
-                        let weight = count * idf.get(&term).copied().unwrap_or(1.0);
-                        (term, weight)
+                        let id = vocab[&term];
+                        (id, count * idf[id as usize])
                     })
                     .collect()
             })
             .collect();
-        TfIdfIndex { docs, idf }
+        let norms = docs.iter().map(|doc| l2_norm(doc.iter().map(|&(_, w)| w))).collect();
+        TfIdfIndex { vocab, idf, docs, norms }
     }
 
     /// Number of indexed documents.
@@ -109,38 +132,80 @@ impl TfIdfIndex {
         self.docs.is_empty()
     }
 
-    /// Cosine similarity of `query` against document `idx`.
-    pub fn similarity(&self, idx: usize, query: &str) -> f64 {
-        let Some(doc) = self.docs.get(idx) else { return 0.0 };
-        let mut qv: BTreeMap<String, f64> = BTreeMap::new();
-        for token in tokenize(query) {
-            *qv.entry(token).or_insert(0.0) += 1.0;
-        }
-        for (term, weight) in qv.iter_mut() {
-            *weight *= self.idf.get(term).copied().unwrap_or(1.0);
-        }
-        let dot: f64 = qv
-            .iter()
-            .filter_map(|(term, qw)| doc.get(term).map(|dw| qw * dw))
-            .sum();
-        let qn: f64 = qv.values().map(|w| w * w).sum::<f64>().sqrt();
-        let dn: f64 = doc.values().map(|w| w * w).sum::<f64>().sqrt();
-        if qn == 0.0 || dn == 0.0 {
+    /// Tokenises and weights `query` once: counts per distinct token in
+    /// lexicographic order, each scaled by its idf (1 when unseen).
+    fn vectorise(&self, query: &str) -> QueryVector {
+        let mut tokens = tokenize(query);
+        tokens.sort_unstable();
+        let weights: Vec<(Option<u32>, f64)> = tokens
+            .chunk_by(|a, b| a == b)
+            .map(|run| {
+                let id = self.vocab.get(&run[0]).copied();
+                let idf = id.map_or(1.0, |id| self.idf[id as usize]);
+                (id, run.len() as f64 * idf)
+            })
+            .collect();
+        let norm = l2_norm(weights.iter().map(|&(_, w)| w));
+        let terms = weights.into_iter().filter_map(|(id, w)| Some((id?, w))).collect();
+        QueryVector { terms, norm }
+    }
+
+    /// Cosine of a vectorised query against document `idx`: a merge join
+    /// of the two id-sorted term lists.
+    fn cosine(&self, query: &QueryVector, idx: usize) -> f64 {
+        let (doc, dn) = (&self.docs[idx], self.norms[idx]);
+        let (mut q, mut d) = (query.terms.iter().peekable(), doc.iter().peekable());
+        let products = std::iter::from_fn(|| loop {
+            let (&&(qid, qw), &&(did, dw)) = (q.peek()?, d.peek()?);
+            match qid.cmp(&did) {
+                std::cmp::Ordering::Less => {
+                    q.next();
+                }
+                std::cmp::Ordering::Greater => {
+                    d.next();
+                }
+                std::cmp::Ordering::Equal => {
+                    q.next();
+                    d.next();
+                    return Some(qw * dw);
+                }
+            }
+        });
+        let dot: f64 = products.sum();
+        if query.norm == 0.0 || dn == 0.0 {
             0.0
         } else {
-            dot / (qn * dn)
+            dot / (query.norm * dn)
         }
+    }
+
+    /// Cosine similarity of `query` against every document, in index order.
+    pub fn scores(&self, query: &str) -> Vec<f64> {
+        let query = self.vectorise(query);
+        (0..self.docs.len()).map(|idx| self.cosine(&query, idx)).collect()
+    }
+
+    /// Cosine similarity of `query` against document `idx`.
+    pub fn similarity(&self, idx: usize, query: &str) -> f64 {
+        if idx >= self.docs.len() {
+            return 0.0;
+        }
+        self.cosine(&self.vectorise(query), idx)
     }
 
     /// Indices of the `k` most similar documents with their scores,
     /// best first.
     pub fn top_k(&self, query: &str, k: usize) -> Vec<(usize, f64)> {
-        let mut scored: Vec<(usize, f64)> =
-            (0..self.docs.len()).map(|i| (i, self.similarity(i, query))).collect();
+        let mut scored: Vec<(usize, f64)> = self.scores(query).into_iter().enumerate().collect();
         scored.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
         scored.truncate(k);
         scored
     }
+}
+
+/// L2 norm of `weights`, summed in the order given.
+fn l2_norm(weights: impl Iterator<Item = f64>) -> f64 {
+    weights.map(|w| w * w).sum::<f64>().sqrt()
 }
 
 #[cfg(test)]

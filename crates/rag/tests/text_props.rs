@@ -6,8 +6,29 @@
 
 use proptest::prelude::*;
 
-use rtlfixer_rag::text::{jaccard_distance, jaccard_similarity, tokenize};
-use rtlfixer_rag::RetrievalQuery;
+use rtlfixer_rag::text::{jaccard_distance, jaccard_similarity, tokenize, TfIdfIndex};
+use rtlfixer_rag::{tfidf_corpus, GuidanceDatabase, RetrievalQuery};
+
+#[path = "support/tfidf_oracle.rs"]
+mod tfidf_oracle;
+
+use tfidf_oracle::{bits, OracleIndex};
+
+/// Asserts that every `scores`, `similarity` and `top_k` value of the
+/// interned index carries the oracle's exact bits for `query`.
+fn assert_matches_oracle(index: &TfIdfIndex, oracle: &OracleIndex, query: &str) {
+    let expected = oracle.scores(query);
+    prop_assert_eq!(bits(index.scores(query)), bits(expected.iter().copied()));
+    for (idx, &score) in expected.iter().enumerate() {
+        prop_assert_eq!(index.similarity(idx, query).to_bits(), score.to_bits());
+    }
+    let top = index.top_k(query, 5);
+    let oracle_top = oracle.top_k(query, 5);
+    prop_assert_eq!(
+        top.iter().map(|&(i, s)| (i, s.to_bits())).collect::<Vec<_>>(),
+        oracle_top.iter().map(|&(i, s)| (i, s.to_bits())).collect::<Vec<_>>()
+    );
+}
 
 /// Log-ish text: words, digit runs, and the punctuation compiler logs
 /// actually contain — parens around error tags included.
@@ -74,5 +95,35 @@ proptest! {
         unique.sort_unstable();
         unique.dedup();
         prop_assert_eq!(unique.len(), tags.len());
+    }
+
+    #[test]
+    fn tfidf_scores_keep_the_oracle_bits_on_the_shared_databases(
+        noise in LOG_TEXT,
+        pick in 0usize..64,
+    ) {
+        for db in [GuidanceDatabase::quartus(), GuidanceDatabase::iverilog()] {
+            let corpus = tfidf_corpus(&db);
+            // Random text alone rarely meets the vocabulary; prefixing one
+            // entry's exemplar log makes most terms in-vocabulary.
+            let exemplar = &db.entries[pick % db.entries.len()].log_exemplar;
+            let index = TfIdfIndex::new(&corpus);
+            let oracle = OracleIndex::new(&corpus);
+            assert_matches_oracle(&index, &oracle, &noise);
+            assert_matches_oracle(&index, &oracle, &format!("{exemplar} {noise}"));
+        }
+    }
+
+    #[test]
+    fn tfidf_scores_keep_the_oracle_bits_on_any_corpus(
+        a in LOG_TEXT,
+        b in LOG_TEXT,
+        c in LOG_TEXT,
+        query in LOG_TEXT,
+    ) {
+        // Three generated documents, one of them repeated: terms shared by
+        // every document, by some and by none all occur.
+        let corpus = [a.clone(), b, c, a];
+        assert_matches_oracle(&TfIdfIndex::new(&corpus), &OracleIndex::new(&corpus), &query);
     }
 }
